@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Regenerate bench/BENCH_micro_baseline.json — the committed floor for the
-# check.sh stage-5c forest-inference perf guard. Run this (and commit the
-# result) only when a deliberate kernel change moves the number; the guard
-# exists so accidental regressions cannot ride in silently.
+# check.sh stage-5c forest-inference perf guard: the batched/legacy
+# inference ratio measured by scripts/forest_inference_ratio.sh. Run this
+# (and commit the result) only when a deliberate kernel change moves the
+# number; the guard exists so accidental regressions cannot ride in
+# silently.
 #
 # Usage: scripts/update_bench_baseline.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -11,10 +13,6 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD="${1:-$ROOT/build}"
 
 cmake --build "$BUILD" -j "$(nproc 2>/dev/null || echo 4)" --target bench_micro
-TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
-GSIGHT_THREADS=1 GSIGHT_BENCH_DIR="$TMP" "$BUILD/bench/bench_micro" \
-  --benchmark_min_time=0.05 \
-  --benchmark_filter='BM_ForestPredictBatched$'
-cp "$TMP/BENCH_micro.json" "$ROOT/bench/BENCH_micro_baseline.json"
-echo "baseline written to bench/BENCH_micro_baseline.json"
+ratio=$("$ROOT/scripts/forest_inference_ratio.sh" "$BUILD/bench/bench_micro" \
+  "$ROOT/bench/BENCH_micro_baseline.json")
+echo "baseline batched/legacy ratio $ratio written to bench/BENCH_micro_baseline.json"

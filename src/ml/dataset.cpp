@@ -11,6 +11,8 @@ void ColumnStore::sync(const Matrix& features) {
     features_ = features.cols();
     stride_ = 0;
     rows_synced_ = 0;
+    first_.assign(features_, 0.0);
+    constant_.assign(features_, 1);
   }
   const std::size_t end = features.rows();
   if (rows_synced_ == end || features_ == 0) return;
@@ -26,10 +28,16 @@ void ColumnStore::sync(const Matrix& features) {
     flat_ = std::move(wider);
     stride_ = new_stride;
   }
+  if (rows_synced_ == 0) {
+    const auto row = features.row(0);
+    std::copy(row.begin(), row.end(), first_.begin());
+  }
   for (std::size_t r = rows_synced_; r < end; ++r) {
     const auto row = features.row(r);
     for (std::size_t f = 0; f < features_; ++f) {
       flat_[f * stride_ + r] = row[f];
+      // == keeps ±0.0 equal and makes any NaN (row 0 included) clear it.
+      constant_[f] &= static_cast<unsigned char>(row[f] == first_[f]);
     }
   }
   rows_synced_ = end;

@@ -1,7 +1,9 @@
 // Supervised-regression dataset: a feature matrix plus a target vector.
 // Supports the operations the incremental learners need: append, subset,
 // shuffle/split, and growing sample buffers. A lazily built feature-major
-// mirror (ColumnStore) backs the columnar tree-training fast path.
+// mirror (ColumnStore) backs the columnar tree-training fast path, and
+// flags the columns that hold one value over every row so split search
+// can skip them.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,11 @@
 
 namespace gsight::ml {
 
+/// Largest feature count a persisted model or dataset may declare. Loaders
+/// reject bigger headers before allocating anything (the paper's overlap
+/// code is 2 580 wide).
+inline constexpr std::size_t kMaxPersistedFeatures = 1000000;
+
 /// Feature-major mirror of a row-major feature matrix: all columns in one
 /// contiguous buffer at a fixed stride, so split scans in tree training
 /// stride unit-length instead of `cols()` and `column(f)` is a pure
@@ -23,6 +30,12 @@ namespace gsight::ml {
 /// geometrically, so full re-transposes amortise away. That is what makes
 /// IncrementalForest refreshes cheap: each partial_fit only pays for the
 /// new batch, not the whole buffer.
+///
+/// The store also keeps one "all values equal" flag per column, updated
+/// in the same transpose loop, so it costs only the new rows. Zero-padded
+/// overlap codes leave most of their 2 580 columns constant over a
+/// training buffer; a split search can never cut such a column, at any
+/// node of any bootstrap sample, so the tree builder skips it unread.
 class ColumnStore {
  public:
   std::size_t rows() const { return rows_synced_; }
@@ -30,13 +43,20 @@ class ColumnStore {
   std::span<const double> column(std::size_t f) const {
     return {flat_.data() + f * stride_, rows_synced_};
   }
+  /// True when every synced value of column `f` compares == to its first
+  /// (vacuously true before any row is synced). +0.0 and -0.0 count as
+  /// equal; a column holding any NaN is never constant.
+  bool constant(std::size_t f) const { return constant_[f] != 0; }
 
   /// Mirror `features` exactly: appends rows [rows(), features.rows());
-  /// rebuilds from scratch only if the source shrank or changed width.
+  /// rebuilds from scratch, flags included, only if the source shrank or
+  /// changed width.
   void sync(const Matrix& features);
 
  private:
   std::vector<double> flat_;      // features_ columns, each stride_ long
+  std::vector<double> first_;     // row 0 of every column
+  std::vector<unsigned char> constant_;  // per column: all rows == first_
   std::size_t features_ = 0;
   std::size_t stride_ = 0;        // per-column row capacity
   std::size_t rows_synced_ = 0;

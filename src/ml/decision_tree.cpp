@@ -135,6 +135,14 @@ SplitCandidate random_split_for_feature(const Dataset& data,
 // kPresortMaxFeatures the lists would dominate memory (d·n indices), so
 // wide-feature kBest trees fall back to a per-node columnar gather+sort —
 // same values, same comparator, still column-strided reads.
+//
+// Constant-column skip: candidates whose column the ColumnStore flags as
+// constant are dropped from each node's feature sample before the scan,
+// and the kRandom prefetch therefore targets the next column that will
+// actually be read. Exact, because the sample is drawn first, and both
+// split searches return {} for such a column (lo == hi, front == back)
+// without drawing from the RNG, and {} never beats `best`. In the
+// zero-padded overlap code this skips most of the sampled columns.
 class ColumnarBuilder {
  public:
   using Node = DecisionTreeRegressor::Node;
@@ -462,6 +470,11 @@ class ColumnarBuilder {
 
     SplitCandidate best;
     rng_.sample_without_replacement(d, k, feature_sample_);
+    // A column constant over the dataset is constant at this node, where
+    // every split search returns {} without an RNG draw; drop it after
+    // the sample is drawn so the stream and the survivors' order stay put.
+    std::erase_if(feature_sample_,
+                  [&](std::size_t f) { return cols_.constant(f); });
     for (std::size_t c = 0; c < feature_sample_.size(); ++c) {
       const std::size_t f = feature_sample_[c];
       SplitCandidate cand;
@@ -695,21 +708,64 @@ void DecisionTreeRegressor::save(std::ostream& out) const {
 }
 
 void DecisionTreeRegressor::load(std::istream& in) {
+  // Parse into locals and validate before committing: a corrupt body must
+  // neither leave the tree half-loaded nor hand traverse() or
+  // BlockedForest::build an index that leads out of bounds or round a
+  // cycle. Nodes are appended as they parse, so a hostile node count
+  // fails at the end of the input instead of allocating up front.
   std::string tag;
   std::size_t node_count = 0, feature_count = 0;
   if (!(in >> tag >> node_count >> feature_count) || tag != "tree") {
     throw std::runtime_error("tree parse error: header");
   }
-  nodes_.assign(node_count, Node{});
-  for (Node& n : nodes_) {
+  // BlockedForest numbers nodes with int32 indices.
+  constexpr std::size_t kMaxNodes = std::numeric_limits<std::int32_t>::max();
+  if (node_count == 0 || node_count > kMaxNodes) {
+    throw std::runtime_error("tree parse error: implausible node count");
+  }
+  if (feature_count > kMaxPersistedFeatures) {
+    throw std::runtime_error("tree parse error: implausible feature count");
+  }
+  std::vector<Node> nodes;
+  nodes.reserve(std::min<std::size_t>(node_count, 4096));
+  for (std::size_t i = 0; i < node_count; ++i) {
+    Node n;
     if (!(in >> n.feature >> n.threshold >> n.left >> n.right >> n.value)) {
       throw std::runtime_error("tree parse error: node");
     }
+    if (n.feature != Node::kLeaf) {
+      if (n.feature >= feature_count) {
+        throw std::runtime_error("tree parse error: feature out of range");
+      }
+      // save() writes nodes in preorder, so children follow their parent.
+      if (n.left <= i || n.right <= i || n.left >= node_count ||
+          n.right >= node_count) {
+        throw std::runtime_error("tree parse error: child index");
+      }
+    }
+    nodes.push_back(n);
   }
-  importance_.assign(feature_count, 0.0);
-  for (double& v : importance_) {
+  // Every node but the root has exactly one parent. With children after
+  // parents, that makes the array one tree rooted at node 0.
+  std::vector<char> has_parent(nodes.size(), 0);
+  for (const Node& n : nodes) {
+    if (n.feature == Node::kLeaf) continue;
+    for (const std::uint32_t child : {n.left, n.right}) {
+      if (has_parent[child] != 0) {
+        throw std::runtime_error("tree parse error: node with two parents");
+      }
+      has_parent[child] = 1;
+    }
+  }
+  if (std::count(has_parent.begin() + 1, has_parent.end(), char{0}) != 0) {
+    throw std::runtime_error("tree parse error: unreachable node");
+  }
+  std::vector<double> importance(feature_count, 0.0);
+  for (double& v : importance) {
     if (!(in >> v)) throw std::runtime_error("tree parse error: importance");
   }
+  nodes_ = std::move(nodes);
+  importance_ = std::move(importance);
 }
 
 }  // namespace gsight::ml

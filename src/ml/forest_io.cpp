@@ -35,6 +35,12 @@ Dataset read_dataset(std::istream& in) {
   if (!(in >> rows >> cols)) {
     throw std::runtime_error("forest_io parse error: dataset header");
   }
+  // Rows are appended as they parse, so only the row scratch (cols wide)
+  // is allocated up front; both bounds still fail a hostile header early.
+  constexpr std::size_t kMaxRows = 100000000;
+  if (rows > kMaxRows || cols > kMaxPersistedFeatures) {
+    throw std::runtime_error("forest_io parse error: implausible dataset shape");
+  }
   Dataset data(cols);
   std::vector<double> x(cols);
   for (std::size_t i = 0; i < rows; ++i) {

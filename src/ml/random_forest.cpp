@@ -7,6 +7,7 @@
 #include <optional>
 #include <iomanip>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -205,11 +206,10 @@ void RandomForestRegressor::load(std::istream& in) {
   // Bounds checks: a corrupt or hostile header must fail cleanly, not
   // drive a multi-gigabyte trees_.assign or an out-of-range enum.
   constexpr std::size_t kMaxTrees = 100000;
-  constexpr std::size_t kMaxFeatures = 1000000;
   if (tree_count > kMaxTrees || config.n_trees > kMaxTrees) {
     throw std::runtime_error("forest parse error: implausible tree count");
   }
-  if (feature_count > kMaxFeatures) {
+  if (feature_count > kMaxPersistedFeatures) {
     throw std::runtime_error("forest parse error: implausible feature count");
   }
   if (!std::isfinite(config.bootstrap_fraction) ||
@@ -227,10 +227,28 @@ void RandomForestRegressor::load(std::istream& in) {
   }
   config.tree.split_mode = static_cast<SplitMode>(split_mode);
   config.threads = config_.threads;  // runtime knob, not persisted
+  // The bodies parse into locals too: a bad tree throws before anything
+  // is committed, so the forest keeps serving its previous model.
+  std::vector<DecisionTreeRegressor> trees(tree_count,
+                                           DecisionTreeRegressor(config.tree));
+  std::size_t total_nodes = 0;
+  for (auto& tree : trees) {
+    tree.load(in);
+    // importance() sums per-tree vectors into feature_count slots, and
+    // the tree validated its split features against this same length.
+    if (tree.importance().size() != feature_count) {
+      throw std::runtime_error("forest parse error: tree feature count");
+    }
+    total_nodes += tree.node_count();
+  }
+  // BlockedForest addresses the concatenated node array with int32.
+  if (total_nodes > static_cast<std::size_t>(
+                        std::numeric_limits<std::int32_t>::max())) {
+    throw std::runtime_error("forest parse error: implausible node total");
+  }
   config_ = config;
   feature_count_ = feature_count;
-  trees_.assign(tree_count, DecisionTreeRegressor(config_.tree));
-  for (auto& tree : trees_) tree.load(in);
+  trees_ = std::move(trees);
   rebuild_flat();
 }
 

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ml/metrics.hpp"
 #include "stats/rng.hpp"
@@ -245,6 +247,102 @@ TEST(ForestIo, FailedLoadLeavesForestUsable) {
   // still answers with its pre-load model.
   EXPECT_EQ(forest.tree_count(), 5u);
   EXPECT_DOUBLE_EQ(forest.predict(data.x(0)), before);
+}
+
+// Tree body layout (DecisionTreeRegressor::save):
+//   tree <node_count> <feature_count>
+//   <feature> <threshold> <left> <right> <value>   (one line per node,
+//                                                    preorder; leaves carry
+//                                                    feature 4294967295)
+//   <importance...>
+TEST(ForestIo, RejectsHostileTreeBodies) {
+  const std::string header = "forest 1 4 1 0.8 10 2 1 4 0\n";
+  const std::string leaf = "4294967295 0 0 0 ";
+  const auto body = [&](const std::string& root) {
+    return "tree 3 4\n" + root + "\n" + leaf + "1.5\n" + leaf +
+           "2.5\n0.5 0 0 0\n";
+  };
+  {
+    // The well-formed body the corruptions below start from.
+    std::stringstream in(header + body("2 0.5 1 2 0"));
+    RandomForestRegressor forest;
+    forest.load(in);
+    EXPECT_EQ(forest.predict(std::vector<double>{0, 0, 0.0, 0}), 1.5);
+    EXPECT_EQ(forest.predict(std::vector<double>{0, 0, 1.0, 0}), 2.5);
+  }
+  const auto expect_rejects = [&](const std::string& text) {
+    std::stringstream in(header + text);
+    RandomForestRegressor forest;
+    EXPECT_THROW(forest.load(in), std::runtime_error) << text;
+  };
+  // Node counts: implausible (no up-front allocation), zero, truncated.
+  expect_rejects("tree 99999999999 4\n" + leaf + "1\n0 0 0 0\n");
+  expect_rejects("tree 4000000000 4\n" + leaf + "1\n0 0 0 0\n");
+  expect_rejects("tree 0 4\n0 0 0 0\n");
+  expect_rejects("tree 3 4\n2 0.5 1 2 0\n" + leaf + "1.5\n");
+  // Child indices: past the node count, back to the root (a cycle), onto
+  // the parent itself, and one node claimed twice.
+  expect_rejects(body("2 0.5 1 3 0"));
+  expect_rejects(body("2 0.5 1 99999 0"));
+  expect_rejects(body("2 0.5 0 2 0"));
+  expect_rejects(body("2 0.5 1 1 0"));
+  expect_rejects("tree 3 4\n2 0.5 1 2 0\n0 0.5 2 2 0\n" + leaf +
+                 "1\n0 0 0 0\n");
+  // An unreachable node: the root is a leaf, nodes 1-2 have no parent.
+  expect_rejects(body(leaf + "0"));
+  // Split feature outside the tree's feature count.
+  expect_rejects(body("4 0.5 1 2 0"));
+  expect_rejects(body("99 0.5 1 2 0"));
+  // Importance length: short, and not the forest's feature count.
+  expect_rejects("tree 3 4\n2 0.5 1 2 0\n" + leaf + "1.5\n" + leaf +
+                 "2.5\n0.5 0\n");
+  expect_rejects("tree 3 5\n2 0.5 1 2 0\n" + leaf + "1.5\n" + leaf +
+                 "2.5\n0.5 0 0 0 0\n");
+  expect_rejects("tree 1 9999999\n" + leaf + "1\n");
+}
+
+TEST(ForestIo, RejectsHostileDatasetShapes) {
+  const auto expect_rejects = [](const std::string& text) {
+    std::stringstream in(text);
+    EXPECT_THROW(read_dataset(in), std::runtime_error) << text;
+  };
+  // Implausible widths and lengths fail before any allocation.
+  expect_rejects("dataset 1 99999999999\n");
+  expect_rejects("dataset 99999999999 4\n");
+  expect_rejects("dataset 2 4\n1 2 3 4 5\n");  // truncated
+}
+
+TEST(ForestIo, FailedBodyLoadLeavesForestUsable) {
+  stats::Rng rng(12);
+  const auto data = make_data(200, rng);
+  ForestConfig cfg;
+  cfg.n_trees = 5;
+  cfg.tree.max_depth = 12;
+  RandomForestRegressor forest(cfg);
+  forest.fit(data, rng);
+  const double before = forest.predict(data.x(0));
+  const auto importance = forest.importance();
+
+  // A valid header for a different 2-tree forest, whose first tree body
+  // parses and whose second is cut short.
+  ForestConfig other_cfg;
+  other_cfg.n_trees = 2;
+  RandomForestRegressor other(other_cfg);
+  other.fit(make_data(100, rng), rng);
+  std::stringstream saved;
+  other.save(saved);
+  std::string text = saved.str();
+  const auto second = text.find("tree ", text.find("tree ") + 1);
+  ASSERT_NE(second, std::string::npos);
+  std::stringstream corrupt(text.substr(0, second + 20));
+  EXPECT_THROW(forest.load(corrupt), std::runtime_error);
+
+  // Nothing was committed: same trees, config, importances, predictions.
+  EXPECT_EQ(forest.tree_count(), 5u);
+  EXPECT_EQ(forest.config().n_trees, 5u);
+  EXPECT_EQ(forest.config().tree.max_depth, 12u);
+  EXPECT_EQ(forest.importance(), importance);
+  EXPECT_EQ(forest.predict(data.x(0)), before);
 }
 
 TEST(ForestIo, LoadPreservesRuntimeThreadKnob) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "ml/dataset.hpp"
 #include "ml/matrix.hpp"
 
@@ -130,6 +133,90 @@ TEST(Dataset, ShufflePreservesPairs) {
   for (std::size_t i = 0; i < d.size(); ++i) {
     EXPECT_DOUBLE_EQ(d.y(i), d.x(i)[0] * 2.0);  // pairing intact
   }
+}
+
+// --- ColumnStore constant-column flags --------------------------------------
+
+TEST(ColumnStore, ConstantFlagSurvivesGeometricRegrowth) {
+  // Column 0 constant, column 1 counting up: one sync per row crosses
+  // several capacity doublings, each of which re-packs the columns.
+  Matrix m(0, 2);
+  ColumnStore store;
+  for (int i = 0; i < 100; ++i) {
+    m.push_row(std::vector<double>{3.5, static_cast<double>(i)});
+    store.sync(m);
+    ASSERT_TRUE(store.constant(0)) << "after row " << i;
+    EXPECT_EQ(store.constant(1), i == 0) << "after row " << i;
+  }
+  ASSERT_EQ(store.rows(), 100u);
+  for (std::size_t r = 0; r < store.rows(); ++r) {
+    EXPECT_EQ(store.column(0)[r], 3.5);
+    EXPECT_EQ(store.column(1)[r], static_cast<double>(r));
+  }
+}
+
+TEST(ColumnStore, ConstantFlagClearsWhenALaterSyncDiffers) {
+  Dataset d(3);
+  for (int i = 0; i < 10; ++i) d.add(std::vector<double>{0.0, 1.0, 2.0}, 0.0);
+  EXPECT_TRUE(d.columns().constant(0));
+  EXPECT_TRUE(d.columns().constant(1));
+  EXPECT_TRUE(d.columns().constant(2));
+  // A padded slot turning live: only its column changes.
+  d.add(std::vector<double>{0.0, 1.25, 2.0}, 0.0);
+  d.add(std::vector<double>{0.0, 1.0, 2.0}, 0.0);
+  EXPECT_TRUE(d.columns().constant(0));
+  EXPECT_FALSE(d.columns().constant(1));
+  EXPECT_TRUE(d.columns().constant(2));
+}
+
+TEST(ColumnStore, SignedZerosStayConstant) {
+  // +0.0 == -0.0, and a split search sees one value in such a column.
+  Matrix m(0, 1);
+  ColumnStore store;
+  m.push_row(std::vector<double>{-0.0});
+  m.push_row(std::vector<double>{0.0});
+  store.sync(m);
+  m.push_row(std::vector<double>{-0.0});
+  store.sync(m);
+  EXPECT_TRUE(store.constant(0));
+}
+
+TEST(ColumnStore, NanColumnIsNeverConstant) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  Matrix m(0, 4);
+  m.push_row(std::vector<double>{kNan, 1.0, kNan, 1.0});
+  ColumnStore store;
+  store.sync(m);
+  EXPECT_FALSE(store.constant(0));  // a lone NaN row
+  EXPECT_FALSE(store.constant(2));
+  EXPECT_TRUE(store.constant(1));
+  m.push_row(std::vector<double>{kNan, kNan, kNan, 1.0});
+  store.sync(m);
+  EXPECT_FALSE(store.constant(0));  // all NaN
+  EXPECT_FALSE(store.constant(1));  // NaN after a value
+  EXPECT_FALSE(store.constant(2));
+  EXPECT_TRUE(store.constant(3));
+}
+
+TEST(ColumnStore, WidthChangeResetsEveryFlag) {
+  Matrix narrow(0, 2);
+  narrow.push_row(std::vector<double>{1.0, 1.0});
+  narrow.push_row(std::vector<double>{2.0, 1.0});
+  ColumnStore store;
+  store.sync(narrow);
+  ASSERT_FALSE(store.constant(0));
+  ASSERT_TRUE(store.constant(1));
+
+  Matrix wide(0, 3);
+  wide.push_row(std::vector<double>{5.0, 6.0, 7.0});
+  wide.push_row(std::vector<double>{5.0, 6.5, 7.0});
+  store.sync(wide);
+  EXPECT_EQ(store.feature_count(), 3u);
+  EXPECT_EQ(store.rows(), 2u);
+  EXPECT_TRUE(store.constant(0));  // was cleared in the narrow store
+  EXPECT_FALSE(store.constant(1));
+  EXPECT_TRUE(store.constant(2));
+  EXPECT_EQ(store.column(1)[1], 6.5);
 }
 
 }  // namespace
