@@ -171,7 +171,14 @@ TEST(ThreadPoolSubmit, MoveOnlyResultType) {
 
 TEST(ThreadPoolSubmit, ExceptionPropagatesThroughFuture) {
   ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
+  // A shared_future keeps this thread's reference to the shared state
+  // past the catch block. With a plain future, get() drops it, so the
+  // worker may destroy the stored exception while what() is still being
+  // read here. That is safe (the exception object is refcounted), but
+  // the refcount lives in the uninstrumented C++ runtime, so TSan cannot
+  // see the ordering and reports a race.
+  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); })
+               .share();
   try {
     f.get();
     FAIL() << "expected std::runtime_error";
