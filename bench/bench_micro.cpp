@@ -214,65 +214,6 @@ void BM_ForestPredictBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestPredictBatched)->Unit(benchmark::kMicrosecond);
 
-// Blocked-kernel variants at the same Table-4 scale, driving the
-// forest_kernel entry points directly: the scalar-blocked batch kernel
-// (what GSIGHT_SIMD=OFF ships), the tree-lane AVX2 kernel per row, and
-// the row-lane AVX2 gather kernel (what predict_batch dispatches to for
-// wide batches). With SIMD compiled out the *_simd entry points forward
-// to the scalar kernels, so Blocked/Gather then mirror the scalar rows.
-enum class SimdPath { kScalarBlocked, kLaneBlocked, kLeafGather };
-
-void BM_ForestPredictSimdImpl(benchmark::State& state, SimdPath path) {
-  stats::Rng rng(19);
-  const std::size_t dims = 2580;
-  const auto data = table4_train_data(dims, 500, rng);
-  auto cfg = deployed_forest_config(ml::SplitMode::kRandom,
-                                    ml::TreeKernel::kColumnar);
-  cfg.n_trees = 80;
-  ml::RandomForestRegressor forest(cfg);
-  stats::Rng fit_rng(23);
-  forest.fit(data, fit_rng);
-  ml::Matrix queries(0, dims);
-  std::vector<double> x(dims);
-  for (int i = 0; i < 32; ++i) {
-    for (auto& v : x) v = rng.uniform();
-    queries.push_row(x);
-  }
-  const auto& blocked = forest.blocked();
-  std::vector<double> out(queries.rows(), 0.0);
-  std::vector<double> leaves(forest.tree_count(), 0.0);
-  for (auto _ : state) {
-    switch (path) {
-      case SimdPath::kScalarBlocked:
-        ml::forest_kernel::gather_scalar(blocked, queries, out);
-        break;
-      case SimdPath::kLaneBlocked:
-        for (std::size_t r = 0; r < queries.rows(); ++r) {
-          ml::forest_kernel::leaves_simd(blocked, queries.row(r), leaves);
-          out[r] = ml::forest_kernel::reduce_mean(leaves);
-        }
-        break;
-      case SimdPath::kLeafGather:
-        ml::forest_kernel::gather_simd(blocked, queries, out);
-        break;
-    }
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-}
-void BM_ForestPredictSimdScalar(benchmark::State& state) {
-  BM_ForestPredictSimdImpl(state, SimdPath::kScalarBlocked);
-}
-BENCHMARK(BM_ForestPredictSimdScalar)->Unit(benchmark::kMicrosecond);
-void BM_ForestPredictSimdBlocked(benchmark::State& state) {
-  BM_ForestPredictSimdImpl(state, SimdPath::kLaneBlocked);
-}
-BENCHMARK(BM_ForestPredictSimdBlocked)->Unit(benchmark::kMicrosecond);
-void BM_ForestPredictSimdGather(benchmark::State& state) {
-  BM_ForestPredictSimdImpl(state, SimdPath::kLeafGather);
-}
-BENCHMARK(BM_ForestPredictSimdGather)->Unit(benchmark::kMicrosecond);
-
 // Serving-layer inference kernels: what the micro-batching queue costs
 // relative to raw model calls, and what it buys under trainer contention.
 // All three use the same trained incremental forest at Table-4 scale and

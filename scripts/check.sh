@@ -15,10 +15,8 @@
 #   5. bench smoke: run bench_micro with RunReport enabled and validate
 #      the emitted BENCH_micro.json with tools/bench_schema_check
 #   5b. model kernels: legacy-vs-columnar forest train and predict
-#      benchmarks, the SIMD-blocked traversal variants
-#      (BM_ForestPredictSimd*), and the serving-layer inference kernels
-#      under GSIGHT_THREADS=1, schema-checked like any bench; prints the
-#      batched-vs-legacy inference speedup from the RunReport
+#      benchmarks and the serving-layer inference kernels under
+#      GSIGHT_THREADS=1, schema-checked like any bench
 #   5c. forest-inference perf guard: the median CPU time of repeated
 #      BM_ForestPredictBatched runs over the in-run BM_ForestPredictLegacy
 #      median, against the same ratio in the committed
@@ -38,7 +36,8 @@
 #   7. serve smoke: short `gsight serve-bench` runs. The synchronous twin
 #      (--threads 0) must emit byte-identical BENCH_serve.json across two
 #      runs (modulo wall_time_s) with at least one hot swap; the threaded
-#      run must schema-check and hot-swap under load too
+#      run must schema-check and hot-swap under load too; fleet-only flags
+#      (--drain/--live/--live-every) without --fleet must be rejected
 #   7b. fleet twin-run: `gsight serve-bench --fleet 4` with a mid-run
 #      drain + re-add and the live NDJSON stream on, run twice. The
 #      BENCH_serve_fleet.json reports must match modulo wall_time_s, the
@@ -177,7 +176,7 @@ KERNEL_DIR="$BENCH_DIR/model-kernels"
 rm -rf "$KERNEL_DIR" && mkdir -p "$KERNEL_DIR"
 GSIGHT_THREADS=1 GSIGHT_BENCH_DIR="$KERNEL_DIR" "$BENCH_DIR/bench/bench_micro" \
   --benchmark_min_time=0.01 \
-  --benchmark_filter='BM_ForestTrain|BM_ForestPredict(Legacy|Singles|Batched)|BM_ForestPredictSimd(Scalar|Blocked|Gather)|BM_ServePredict|BM_ServeFleetRouted'
+  --benchmark_filter='BM_ForestTrain|BM_ForestPredict(Legacy|Singles|Batched)|BM_ServePredict|BM_ServeFleetRouted'
 [[ -f "$KERNEL_DIR/BENCH_micro.json" ]] \
   || { echo "model kernels: BENCH_micro.json was not written"; exit 1; }
 "$BENCH_DIR/tools/bench_schema_check" "$KERNEL_DIR/BENCH_micro.json"
@@ -297,6 +296,15 @@ for report in "$SERVE_DIR/twin1/BENCH_serve.json" "$SERVE_DIR/threaded/BENCH_ser
     || { echo "serve smoke: $report reports no hot swap under load"; exit 1; }
 done
 echo "serve-bench hot-swapped under load in both regimes"
+# Fleet-only flags must be rejected without --fleet, not silently ignored.
+for fleet_only in "--live-every 4" "--drain 1@10" "--live $SERVE_DIR/unused.ndjson"; do
+  # shellcheck disable=SC2086  # split "--flag value" into two words
+  if "$BENCH_DIR/tools/gsight" serve-bench --threads 0 "${SERVE_ARGS[@]}" \
+       $fleet_only --out "$SERVE_DIR" > /dev/null 2>&1; then
+    echo "serve smoke: serve-bench accepted '$fleet_only' without --fleet"; exit 1
+  fi
+done
+echo "fleet-only flags are rejected without --fleet"
 
 # --- 7b. Fleet twin-run ------------------------------------------------------
 banner "fleet twin-run: drain/re-shard determinism + live stream + capacity"

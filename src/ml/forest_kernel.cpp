@@ -4,8 +4,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <cstdlib>
-#include <string_view>
 
 namespace gsight::ml {
 
@@ -73,36 +71,6 @@ void BlockedForest::build(
 
 namespace forest_kernel {
 
-KernelChoice dispatch_choice() {
-  static const KernelChoice choice = [] {
-    const char* env = std::getenv("GSIGHT_FOREST_KERNEL");
-    if (env != nullptr && std::string_view(env) == "simd" &&
-        simd_available()) {
-      return KernelChoice::kSimd;
-    }
-    return KernelChoice::kScalarBlocked;
-  }();
-  return choice;
-}
-
-void leaves(const BlockedForest& forest, std::span<const double> x,
-            std::span<double> out) {
-  if (dispatch_choice() == KernelChoice::kSimd) {
-    leaves_simd(forest, x, out);
-  } else {
-    leaves_scalar(forest, x, out);
-  }
-}
-
-void gather(const BlockedForest& forest, const Matrix& xs,
-            std::span<double> out) {
-  if (dispatch_choice() == KernelChoice::kSimd) {
-    gather_simd(forest, xs, out);
-  } else {
-    gather_scalar(forest, xs, out);
-  }
-}
-
 double reduce_mean(std::span<const double> leaves) {
   double sum = 0.0;
   for (const double v : leaves) sum += v;
@@ -126,9 +94,9 @@ inline std::int32_t step_lane(const BlockedForest::PackedNode* nodes,
 
 }  // namespace
 
-void leaves_scalar(const BlockedForest& forest, std::span<const double> x,
-                   std::span<double> leaves) {
-  assert(leaves.size() == forest.tree_count());
+void leaves(const BlockedForest& forest, std::span<const double> x,
+            std::span<double> out) {
+  assert(out.size() == forest.tree_count());
   const BlockedForest::PackedNode* nodes = forest.nodes.data();
   const std::size_t trees = forest.tree_count();
   for (std::size_t t0 = 0; t0 < trees; t0 += kLaneWidth) {
@@ -148,13 +116,13 @@ void leaves_scalar(const BlockedForest& forest, std::span<const double> x,
       }
     }
     for (std::size_t k = 0; k < width; ++k) {
-      leaves[t0 + k] = forest.value[static_cast<std::size_t>(idx[k])];
+      out[t0 + k] = forest.value[static_cast<std::size_t>(idx[k])];
     }
   }
 }
 
-void gather_scalar(const BlockedForest& forest, const Matrix& xs,
-                   std::span<double> out) {
+void gather(const BlockedForest& forest, const Matrix& xs,
+            std::span<double> out) {
   assert(out.size() == xs.rows());
   const BlockedForest::PackedNode* nodes = forest.nodes.data();
   const std::size_t trees = forest.tree_count();
@@ -189,24 +157,6 @@ void gather_scalar(const BlockedForest& forest, const Matrix& xs,
     }
   }
 }
-
-#if !defined(GSIGHT_SIMD_AVX2)
-
-bool simd_available() { return false; }
-
-// Scalar-forwarding definitions keep call sites build-flavor agnostic
-// when GSIGHT_SIMD is OFF (or the toolchain lacks AVX2).
-void leaves_simd(const BlockedForest& forest, std::span<const double> x,
-                 std::span<double> leaves) {
-  leaves_scalar(forest, x, leaves);
-}
-
-void gather_simd(const BlockedForest& forest, const Matrix& xs,
-                 std::span<double> out) {
-  gather_scalar(forest, xs, out);
-}
-
-#endif  // !GSIGHT_SIMD_AVX2
 
 }  // namespace forest_kernel
 

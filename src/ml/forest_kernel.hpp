@@ -4,30 +4,28 @@
 // per step instead of one: the serial bottleneck of tree inference is the
 // load-to-branch dependency chain (gather x[feature], compare, pick a
 // child, repeat), and K interleaved walks give the core K independent
-// chains to overlap. Two blockings cover the two query shapes:
+// chains to overlap. Two blockings cover the two query shapes, one kernel
+// each:
 //
-//   tree-lane  — one query row, kLaneWidth trees advance together. The
-//                shape of predict() and of narrow batches: the (wide) row
-//                stays cache-resident while every tree visits it.
-//   row-lane   — one tree, kLaneWidth query rows advance together, trees
-//                outer ("leaf-index gather"). The shape of wide batches:
-//                a tree's breadth-first node block stays cache-resident
-//                while the whole batch streams through it.
+//   leaves()   — tree-lane: one query row, kLaneWidth trees advance
+//                together. The shape of predict() and of narrow batches:
+//                the (wide) row stays cache-resident while every tree
+//                visits it.
+//   gather()   — row-lane: one tree, kLaneWidth query rows advance
+//                together, trees outer ("leaf-index gather"). The shape
+//                of wide batches: a tree's breadth-first node block stays
+//                cache-resident while the whole batch streams through it.
 //
-// Each blocking has a portable scalar kernel (interleaved independent
-// walks, plain control flow) and an AVX2 kernel (node indices in integer
-// lanes, node fields and feature values fetched with hardware gathers).
-// The AVX2 kernels are compiled only when the GSIGHT_SIMD CMake option is
-// ON and the compiler supports -mavx2; otherwise they forward to the
-// scalar-blocked kernels, so call sites never branch on the build flavor.
+// Both are portable scalar code (interleaved independent walks, plain
+// control flow); DESIGN.md §15 records why there is no vector variant.
 //
 // Bit-identity contract: a tree walk performs no arithmetic — only
-// `x[feature] <= threshold` comparisons — so every kernel reaches exactly
-// the leaf the reference walk reaches, and all of them accumulate the
-// per-tree leaf values in ascending tree order with one final divide.
-// Every result is therefore bit-identical to the reference kernel; the
+// `x[feature] <= threshold` comparisons — so both kernels reach exactly
+// the leaf the reference walk reaches, and both accumulate the per-tree
+// leaf values in ascending tree order with one final divide. Every
+// result is therefore bit-identical to the reference kernel; the
 // golden/checksum suite in tests/ml/test_forest_equivalence.cpp enforces
-// this for every compiled variant.
+// this.
 #pragma once
 
 #include <cstdint>
@@ -50,20 +48,18 @@ namespace gsight::ml {
 /// invariant: kernels never store or fetch a right link, they add the
 /// comparison result to `left`.
 struct BlockedForest {
-  /// Split feature per node; kLeaf marks a leaf. Stored as int32 so the
-  /// SIMD kernels can gather it directly into integer lanes.
+  /// Split feature per node; kLeaf marks a leaf.
   static constexpr std::int32_t kLeaf = -1;
 
-  /// One traversal step's working set. 16 bytes so a node index doubles
-  /// as a scaled gather index (see the AVX2 kernels) and four hot nodes
-  /// fit per cache line. Leaves carry feature == kLeaf and left == own
-  /// index (self-loop), letting kernels step parked lanes harmlessly.
+  /// One traversal step's working set. 16 bytes so four hot nodes fit
+  /// per cache line. Leaves carry feature == kLeaf and left == own index
+  /// (self-loop), letting kernels step parked lanes harmlessly.
   struct PackedNode {
     double threshold = 0.0;
     std::int32_t feature = kLeaf;
     std::int32_t left = 0;  ///< global left child; right is left + 1
   };
-  static_assert(sizeof(PackedNode) == 16, "gather indexing relies on this");
+  static_assert(sizeof(PackedNode) == 16, "four nodes per cache line");
 
   std::vector<PackedNode> nodes;
   std::vector<double> value;        ///< leaf prediction (0 for splits)
@@ -84,56 +80,29 @@ namespace forest_kernel {
 
 /// Independent tree walks interleaved per step. A step's critical path
 /// is two dependent loads (node fields, then x[feature]), so one walk
-/// leaves the core mostly idle; 8 interleaved walks — two AVX2 vectors'
-/// worth, or 8 scalar chains — keep enough independent load chains in
-/// flight to hide that latency without spilling lane state. The kernels
-/// are branchless inside a block: every lane steps exactly
-/// max(depth[t]) times (leaves self-loop, so parked lanes are no-ops),
-/// trading a few wasted lane-steps for zero unpredictable branches.
+/// leaves the core mostly idle; 8 interleaved scalar chains keep enough
+/// independent load chains in flight to hide that latency without
+/// spilling lane state. The kernels are branchless inside a block: every
+/// lane steps exactly max(depth[t]) times (leaves self-loop, so parked
+/// lanes are no-ops), trading a few wasted lane-steps for zero
+/// unpredictable branches.
 inline constexpr std::size_t kLaneWidth = 8;
 
-/// Row count at or above which predict_batch dispatches to the row-lane
-/// gather kernels instead of per-row tree-lane blocks.
+/// Row count at or above which predict_batch uses the row-lane gather()
+/// kernel instead of per-row tree-lane blocks.
 inline constexpr std::size_t kGatherMinRows = 8;
 
-/// True when the AVX2 kernels were compiled in (GSIGHT_SIMD=ON and the
-/// compiler supported -mavx2); the *_simd entry points forward to the
-/// scalar-blocked kernels otherwise.
-bool simd_available();
-
-/// Which kernel family the leaves()/gather() entry points run. All
-/// families are bit-identical, so this only moves time around: the
-/// scalar-blocked kernels win on parts whose gather instructions
-/// microcode-serialize (most current x86), the AVX2 kernels on parts
-/// with fast hardware gathers. Resolved once per process from the
-/// GSIGHT_FOREST_KERNEL environment variable ("scalar" | "simd");
-/// unset or unrecognised picks scalar-blocked, and "simd" silently
-/// degrades to scalar-blocked when AVX2 was not compiled in.
-enum class KernelChoice { kScalarBlocked, kSimd };
-KernelChoice dispatch_choice();
-
-/// Dispatching entry points — what RandomForestRegressor's hot paths
-/// call. Same contracts as the *_scalar/*_simd variants below.
-void leaves(const BlockedForest& forest, std::span<const double> x,
-            std::span<double> leaves);
-void gather(const BlockedForest& forest, const Matrix& xs,
-            std::span<double> out);
-
 /// Tree-lane blocked: leaf value of every tree for one query row, written
-/// to leaves[t] (leaves.size() == forest.tree_count()).
-void leaves_scalar(const BlockedForest& forest, std::span<const double> x,
-                   std::span<double> leaves);
-void leaves_simd(const BlockedForest& forest, std::span<const double> x,
-                 std::span<double> leaves);
+/// to out[t] (out.size() == forest.tree_count()).
+void leaves(const BlockedForest& forest, std::span<const double> x,
+            std::span<double> out);
 
 /// Row-lane gather: full batched prediction, trees outer, kLaneWidth rows
 /// advancing per step. out.size() == xs.rows(); accumulates per-tree leaf
 /// values in ascending tree order, then divides once — the reference
 /// summation order.
-void gather_scalar(const BlockedForest& forest, const Matrix& xs,
-                   std::span<double> out);
-void gather_simd(const BlockedForest& forest, const Matrix& xs,
-                 std::span<double> out);
+void gather(const BlockedForest& forest, const Matrix& xs,
+            std::span<double> out);
 
 /// Mean of `leaves` accumulated in ascending tree order (the exact
 /// reduction the reference kernel performs).

@@ -45,8 +45,8 @@ class RandomForestRegressor {
   void predict_batch(const Matrix& xs, std::vector<double>& out) const;
 
   /// Reference kernel: the plain one-node-at-a-time walk over the
-  /// flattened arrays. The golden implementation every blocked/SIMD
-  /// kernel must match bit for bit; not used on hot paths.
+  /// flattened arrays. The golden implementation every blocked kernel
+  /// must match bit for bit; not used on hot paths.
   double predict_reference(std::span<const double> x) const;
   std::vector<double> predict_batch_reference(const Matrix& xs) const;
   bool fitted() const { return !trees_.empty(); }

@@ -9,16 +9,17 @@
 //   closed loop — `clients` concurrent callers each submit, wait for the
 //                 result, and repeat: the scheduler-in-the-loop shape.
 //
-// Against a synchronous target (worker_threads == 0) the driver runs the
-// open loop on a virtual timeline (ManualClock): arrivals, batch-forming
-// deadlines and completions all advance deterministically, so two runs
-// with the same seed produce byte-identical latency distributions and
-// shed/batch counters — the serve-bench determinism gate. Fleet runs add
-// per-replica batch deadlines, execute the FleetRequest drain schedule at
-// its request indices, and (with live_every set) stream metric deltas to
-// the fleet's live sink — all on the same virtual timeline, so even a
-// mid-run drain/re-add twin run stays byte-identical. Against a threaded
-// target both loops run in real time.
+// run() picks the regime from the target's worker_threads. Against a
+// synchronous target (worker_threads == 0) the driver runs the open loop
+// on a virtual timeline (ManualClock): arrivals, per-replica batch
+// deadlines and completions all advance deterministically, the
+// FleetRequest drain schedule fires at its request indices, and (with
+// live_every set) metric deltas stream to the fleet's live sink — so two
+// runs with the same seed, even across a mid-run drain/re-add, produce
+// byte-identical latency distributions, counters and live streams: the
+// serve-bench determinism gate. Against a threaded target both loops run
+// in real time. Each regime is one loop over a fleet; a service is
+// driven as a fleet of one (replica 0, no drain schedule, no live sink).
 //
 // A configurable fraction of requests doubles as labelled observations
 // (features + synthetic ground truth) so the trainer publishes fresh
@@ -30,13 +31,11 @@
 
 #include "serve/fleet.hpp"
 #include "serve/service.hpp"
-#include "stats/rng.hpp"
 
 namespace gsight::serve {
 
 /// All load-shape knobs in one request struct (the validate() pattern of
-/// ClusterSpec/GatewayConfig/FleetRequest); the PR-5 name LoadDriverConfig
-/// remains as a deprecated alias for exactly one PR.
+/// ClusterSpec/GatewayConfig/FleetRequest).
 struct DriverRequest {
   enum class Mode { kOpenLoop, kClosedLoop };
   Mode mode = Mode::kOpenLoop;
@@ -58,11 +57,6 @@ struct DriverRequest {
   void validate() const;
 };
 
-/// Transitional alias for the PR-5 name; call sites should construct
-/// DriverRequest. Removed next PR.
-using LoadDriverConfig [[deprecated(
-    "renamed DriverRequest (validate() request pattern)")]] = DriverRequest;
-
 struct LoadOutcome {
   std::size_t submitted = 0;
   std::size_t completed = 0;
@@ -82,30 +76,19 @@ class LoadDriver {
  public:
   explicit LoadDriver(DriverRequest request);
 
-  /// Deterministic open-loop drive of a synchronous service (requires
-  /// worker_threads == 0 and the service's own ManualClock). Virtual
-  /// latency measures the batching policy: queueing delay between
-  /// arrival and the batch that served it.
-  LoadOutcome run_deterministic(PredictionService& service);
-
-  /// Deterministic open-loop drive of a synchronous fleet on its shared
-  /// ManualClock. Request i is submitted under key i; the fleet's drain
-  /// schedule fires before the submission of its drain_at/readd_at
-  /// indices; per-replica batch deadlines fire in global virtual-time
-  /// order (earliest deadline first, ties to the lowest replica id).
-  LoadOutcome run_deterministic(PredictionFleet& fleet);
-
-  /// Real-time drive of a started, threaded service (either mode).
-  LoadOutcome run_threaded(PredictionService& service);
-
-  /// Real-time drive of a threaded fleet (either mode). Drain steps run
-  /// inline at their request indices — i.e. genuinely under load.
-  LoadOutcome run_threaded(PredictionFleet& fleet);
+  /// Start the target (idempotent) and drive it. A synchronous target
+  /// (worker_threads == 0, own ManualClock) gets the deterministic open
+  /// loop: virtual latency measures the batching policy — the queueing
+  /// delay between arrival and the batch that served it. A threaded
+  /// target runs either mode in real time. Request i is submitted under
+  /// key i. In the open loop, fleet drain steps fire before the
+  /// submission of their drain_at/readd_at indices (in real time,
+  /// genuinely under load) and live deltas stream every live_every
+  /// submissions.
+  LoadOutcome run(PredictionService& service);
+  LoadOutcome run(PredictionFleet& fleet);
 
   const DriverRequest& request() const { return request_; }
-  [[deprecated("renamed request()")]] const DriverRequest& config() const {
-    return request_;
-  }
 
   /// Synthetic ground truth: a fixed smooth function of the features,
   /// so the model actually converges on something under online updates.
@@ -114,11 +97,6 @@ class LoadDriver {
   static double label_of(const std::vector<double>& features);
 
  private:
-  std::vector<double> make_features(std::size_t dim, stats::Rng& rng) const;
-  LoadOutcome finalise(std::vector<double>& latencies_us,
-                       std::size_t submitted, std::size_t shed,
-                       double duration_s) const;
-
   DriverRequest request_;
 };
 

@@ -345,20 +345,16 @@ TEST(ForestEquivalence, PredictBatchOnUnfittedForestIsZero) {
 }
 
 // --- Inference-kernel equivalence -----------------------------------------
-// Every traversal backend (reference pointer-chase, scalar-blocked,
-// AVX2, and both batched gather variants) must agree to the bit: the
-// blocked kernels do no arithmetic the reference doesn't (compares and
-// one mean reduction in the same tree order), so EXPECT_EQ, not NEAR.
+// Every traversal path (reference pointer-chase, tree-lane blocked and
+// the batched row-lane gather) must agree to the bit: the blocked
+// kernels do no arithmetic the reference doesn't (compares and one mean
+// reduction in the same tree order), so EXPECT_EQ, not NEAR.
 
-// Per-row leaf walk through one backend, reduced exactly like predict().
-double predict_via(const RandomForestRegressor& forest,
-                   std::span<const double> x, bool simd) {
+// Per-row tree-lane walk, reduced exactly like predict().
+double predict_via_leaves(const RandomForestRegressor& forest,
+                          std::span<const double> x) {
   std::vector<double> leaves(forest.blocked().tree_count());
-  if (simd) {
-    forest_kernel::leaves_simd(forest.blocked(), x, leaves);
-  } else {
-    forest_kernel::leaves_scalar(forest.blocked(), x, leaves);
-  }
+  forest_kernel::leaves(forest.blocked(), x, leaves);
   return forest_kernel::reduce_mean(leaves);
 }
 
@@ -378,11 +374,8 @@ TEST(ForestKernelEquivalence, ScalarBlockedMatchesReferenceOnTies) {
       q[f] = static_cast<double>(data_rng.uniform_index(5));
     }
     const double ref = forest.predict_reference(q);
-    EXPECT_EQ(forest.predict(q), ref) << "dispatched, row " << i;
-    EXPECT_EQ(predict_via(forest, q, /*simd=*/false), ref) << "scalar " << i;
-    if (forest_kernel::simd_available()) {
-      EXPECT_EQ(predict_via(forest, q, /*simd=*/true), ref) << "simd " << i;
-    }
+    EXPECT_EQ(forest.predict(q), ref) << "predict, row " << i;
+    EXPECT_EQ(predict_via_leaves(forest, q), ref) << "leaves, row " << i;
   }
 }
 
@@ -404,13 +397,8 @@ TEST(ForestKernelEquivalence, GatherVariantsMatchReferenceBatch) {
   }
   const auto ref = forest.predict_batch_reference(queries);
   std::vector<double> out(queries.rows());
-  forest_kernel::gather_scalar(forest.blocked(), queries, out);
+  forest_kernel::gather(forest.blocked(), queries, out);
   EXPECT_EQ(out, ref);
-  if (forest_kernel::simd_available()) {
-    std::fill(out.begin(), out.end(), -1.0);
-    forest_kernel::gather_simd(forest.blocked(), queries, out);
-    EXPECT_EQ(out, ref);
-  }
   EXPECT_EQ(forest.predict_batch(queries), ref);
 }
 
@@ -446,7 +434,7 @@ TEST(ForestKernelEquivalence, EmptyAndUnfittedForests) {
   EXPECT_TRUE(forest.blocked().empty());
   Matrix queries(0, 4);
   std::vector<double> none;
-  forest_kernel::gather_scalar(forest.blocked(), queries, none);
+  forest_kernel::gather(forest.blocked(), queries, none);
   EXPECT_TRUE(none.empty());
   queries.push_row(std::vector<double>{0.0, 1.0, 2.0, 3.0});
   EXPECT_EQ(forest.predict_batch(queries), std::vector<double>{0.0});

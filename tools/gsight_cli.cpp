@@ -619,6 +619,27 @@ bool parse_drain_spec(const char* spec, serve::DrainStep* step) {
   return *end == '\0';
 }
 
+/// The serve-bench serving model: the deployed IRFR, warmed on
+/// `warm_rows` synthetic samples of the driver's ground-truth function so
+/// the initial snapshot is a real model and under-load publishes are
+/// genuine hot swaps (v1 -> v2 -> ...), not the cold first fit.
+ml::IncrementalForest warm_serving_model(std::size_t dim,
+                                         std::size_t warm_rows,
+                                         std::uint64_t seed) {
+  ml::IncrementalForest model(core::deployed_irfr_config(), seed);
+  if (warm_rows > 0) {
+    stats::Rng rng(seed ^ 0x5EEDF00DULL);
+    ml::Dataset warm(dim);
+    std::vector<double> row(dim);
+    for (std::size_t i = 0; i < warm_rows; ++i) {
+      for (auto& v : row) v = rng.uniform();
+      warm.add(row, serve::LoadDriver::label_of(row));
+    }
+    model.partial_fit(warm);
+  }
+  return model;
+}
+
 /// Fleet variant of serve-bench: N replicas behind a Router, central
 /// training with fan-out publishing, an optional mid-run drain schedule
 /// and an optional gsight-live/v1 NDJSON stream. Emits
@@ -629,19 +650,8 @@ int cmd_serve_fleet(serve::FleetRequest fr, serve::DriverRequest lc,
                     const std::string& live_path) {
   const auto t0 = std::chrono::steady_clock::now();
 
-  ml::IncrementalForest model(core::deployed_irfr_config(), lc.seed);
-  if (warm_rows > 0) {
-    stats::Rng rng(lc.seed ^ 0x5EEDF00DULL);
-    ml::Dataset warm(fr.service.feature_dim);
-    std::vector<double> row(fr.service.feature_dim);
-    for (std::size_t i = 0; i < warm_rows; ++i) {
-      for (auto& v : row) v = rng.uniform();
-      warm.add(row, serve::LoadDriver::label_of(row));
-    }
-    model.partial_fit(warm);
-  }
-
-  serve::PredictionFleet fleet(fr, std::move(model));
+  serve::PredictionFleet fleet(
+      fr, warm_serving_model(fr.service.feature_dim, warm_rows, lc.seed));
 
   std::ofstream live_os;
   std::unique_ptr<obs::LiveStreamSink> sink;
@@ -662,14 +672,7 @@ int cmd_serve_fleet(serve::FleetRequest fr, serve::DriverRequest lc,
     if (lc.live_every == 0) lc.live_every = 256;
   }
 
-  serve::LoadDriver driver(lc);
-  serve::LoadOutcome outcome;
-  fleet.start();
-  if (fr.service.worker_threads == 0) {
-    outcome = driver.run_deterministic(fleet);
-  } else {
-    outcome = driver.run_threaded(fleet);
-  }
+  const serve::LoadOutcome outcome = serve::LoadDriver(lc).run(fleet);
   fleet.stop();
   const serve::FleetStats fs = fleet.stats();
 
@@ -858,43 +861,22 @@ int cmd_serve_bench(int argc, char** argv) {
     fr.drains = std::move(drains);
     return cmd_serve_fleet(std::move(fr), lc, warm_rows, out_dir, live_path);
   }
-  if (!drains.empty() || !live_path.empty()) {
+  if (!drains.empty() || !live_path.empty() || lc.live_every > 0) {
     std::fprintf(stderr,
-                 "error: --drain/--live need --fleet N (single-service "
-                 "serve-bench has no router or live stream)\n");
+                 "error: --drain/--live/--live-every need --fleet N "
+                 "(single-service serve-bench has no router or live "
+                 "stream)\n");
     return usage();
   }
 
   const auto t0 = std::chrono::steady_clock::now();
 
-  // The serving model is the deployed IRFR, warmed on `warm_rows`
-  // synthetic samples of the driver's ground-truth function so the
-  // initial snapshot is a real model and under-load publishes are
-  // genuine hot swaps (v1 -> v2 -> ...), not the cold first fit.
-  ml::IncrementalForest model(core::deployed_irfr_config(), lc.seed);
-  if (warm_rows > 0) {
-    stats::Rng rng(lc.seed ^ 0x5EEDF00DULL);
-    ml::Dataset warm(sc.feature_dim);
-    std::vector<double> row(sc.feature_dim);
-    for (std::size_t i = 0; i < warm_rows; ++i) {
-      for (auto& v : row) v = rng.uniform();
-      warm.add(row, serve::LoadDriver::label_of(row));
-    }
-    model.partial_fit(warm);
-  }
-
-  serve::PredictionService service(sc, std::move(model));
+  serve::PredictionService service(
+      sc, warm_serving_model(sc.feature_dim, warm_rows, lc.seed));
   const std::uint64_t swaps_before = service.stats().snapshot_swaps;
   const std::uint64_t version_before = service.stats().model_version;
 
-  serve::LoadDriver driver(lc);
-  serve::LoadOutcome outcome;
-  if (sc.worker_threads == 0) {
-    service.start();
-    outcome = driver.run_deterministic(service);
-  } else {
-    outcome = driver.run_threaded(service);
-  }
+  const serve::LoadOutcome outcome = serve::LoadDriver(lc).run(service);
   service.stop();
   const serve::ServiceStats svc = service.stats();
 
