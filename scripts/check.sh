@@ -28,7 +28,9 @@
 #      core::CampaignRunner, DESIGN.md §9)
 #   6b. shard-equivalence: `gsight campaign --shards N` 1-lane serial vs
 #      8-lane thread-pooled estate dumps must be byte-identical (the
-#      determinism contract of sim::ShardedEngine, DESIGN.md §13)
+#      determinism contract of sim::ShardedEngine, DESIGN.md §13); then
+#      bench_shard_scaling must report byte-identical digests across its
+#      lane counts and its pooled run (its exit status; no timing bound)
 #   6c. cloning twin-run: the same estate with request cloning, cross-cell
 #      clone pairs and processor-sharing servers — cancel-on-first-complete
 #      events cross shard mailboxes and must still replay byte-identically
@@ -247,6 +249,17 @@ rm -rf "$SHARD_DIR" && mkdir -p "$SHARD_DIR"
 cmp "$SHARD_DIR/lanes1.dump" "$SHARD_DIR/lanes8.dump" \
   || { echo "shard-equivalence: 1-lane and 8-lane dumps differ"; exit 1; }
 echo "1-lane and 8-lane shard dumps are byte-identical"
+# The full 256-server estate at 1, 2, 4 and 8 lanes plus an 8-thread pooled
+# run: the bench exits non-zero when any digest differs. Only that bit is
+# gated; its events/s figures are reported, not bounded.
+cmake --build "$BENCH_DIR" -j "$JOBS" --target bench_shard_scaling \
+      > "$BENCH_DIR.shard-bench.log" 2>&1 \
+  || { tail -n 40 "$BENCH_DIR.shard-bench.log"; exit 1; }
+GSIGHT_BENCH_DIR="$SHARD_DIR" "$BENCH_DIR/bench/bench_shard_scaling" \
+  > "$SHARD_DIR/bench_shard_scaling.txt" \
+  || { cat "$SHARD_DIR/bench_shard_scaling.txt"
+       echo "shard bench: digests differ across lane/thread counts"; exit 1; }
+echo "bench_shard_scaling digests are byte-identical across lane/thread counts"
 
 # --- 6c. Cloning twin-run ----------------------------------------------------
 banner "cloning twin-run: cross-cell clones + PS servers, 1 lane vs 8 lanes"

@@ -24,7 +24,7 @@ Instance* Cluster::create_instance(std::size_t app, std::size_t fn,
   const std::uint64_t id = next_instance_id_++;
   auto instance = std::make_unique<Instance>(
       id, app, fn, spec, servers_[server_idx].get(), engine_, config,
-      rng_.next());
+      rng_.next(), &backlog_);
   Instance* raw = instance.get();
   instances_.emplace(id, std::move(instance));
   ++created_;
@@ -46,6 +46,7 @@ bool Cluster::destroy_instance(std::uint64_t id) {
   ++destroyed_;
   GSIGHT_INVARIANT(created_ - destroyed_ == instances_.size(),
                    "instance accounting drifted");
+  check_backlog();
   return true;
 }
 
@@ -53,12 +54,13 @@ void Cluster::set_tracer(obs::Tracer* tracer) {
   for (auto& s : servers_) s->set_tracer(tracer);
 }
 
-std::size_t Cluster::total_backlog() const {
-  std::size_t backlog = 0;
-  for (const auto& [id, inst] : instances_) {
-    backlog += inst->queue_depth() + (inst->busy() ? 1 : 0);
-  }
-  return backlog;
+void Cluster::check_backlog() const {
+#if GSIGHT_CONTRACT_LEVEL >= 2
+  std::size_t scanned = 0;
+  for (const auto& [id, inst] : instances_) scanned += inst->backlog();
+  GSIGHT_INVARIANT(backlog_ == scanned,
+                   "backlog count drifted from the instance scan");
+#endif
 }
 
 std::vector<Instance*> Cluster::instances() const {

@@ -35,9 +35,14 @@ class Cluster {
   bool destroy_instance(std::uint64_t id);
 
   std::size_t total_instances() const { return instances_.size(); }
-  /// Sum of queued invocations across all instances (the gateway's
-  /// backlog signal).
-  std::size_t total_backlog() const;
+  /// Invocations queued or running across all instances (the gateway's
+  /// backlog signal, read on every forward). The instances keep it as a
+  /// running count, so reading it is O(1).
+  std::size_t total_backlog() const { return backlog_; }
+  /// Contract check (level 2): the running count equals the
+  /// O(instances) sum of Instance::backlog(). Off the per-forward path;
+  /// destroy_instance and Platform::refresh_metrics run it.
+  void check_backlog() const;
   /// All live instances, ordered by creation (instance id) so callers that
   /// iterate — schedulers, autoscalers, metric sweeps — are
   /// replay-deterministic.
@@ -61,10 +66,12 @@ class Cluster {
   const InterferenceModel* model_;
   ExecSliceSink* sink_;
   std::vector<std::unique_ptr<Server>> servers_;
+  // Declared before instances_: every instance holds a pointer to it.
+  std::size_t backlog_ = 0;
   // Keyed by the monotonically assigned instance id, *not* by pointer:
   // pointer-keyed unordered maps iterate in allocator-dependent order,
-  // which silently breaks bit-exact replay (backlog sums and instance
-  // sweeps would visit instances in address order).
+  // which silently breaks bit-exact replay (instance sweeps would visit
+  // instances in address order).
   std::map<std::uint64_t, std::unique_ptr<Instance>> instances_;
   std::uint64_t next_instance_id_ = 1;
   std::uint64_t created_ = 0;

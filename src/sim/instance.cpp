@@ -15,7 +15,8 @@ constexpr std::uint64_t kLatencyReservoirStream = 1;
 
 Instance::Instance(std::uint64_t id, std::size_t app, std::size_t fn,
                    const wl::FunctionSpec* spec, Server* server, Engine* engine,
-                   InstanceConfig config, std::uint64_t seed)
+                   InstanceConfig config, std::uint64_t seed,
+                   std::size_t* backlog)
     : id_(id),
       app_(app),
       fn_(fn),
@@ -24,6 +25,7 @@ Instance::Instance(std::uint64_t id, std::size_t app, std::size_t fn,
       engine_(engine),
       config_(config),
       rng_(seed),
+      backlog_(backlog),
       latencies_(4096,
                  stats::SeedStream::derive(seed, kLatencyReservoirStream)) {
   server_->add_resident(spec_->mem_alloc_gb);
@@ -67,6 +69,7 @@ std::vector<wl::Phase> Instance::materialize_phases(bool cold,
 std::uint64_t Instance::submit(DoneFn done, double jitter_override) {
   const std::uint64_t ticket = next_ticket_++;
   queue_.push_back({engine_->now(), std::move(done), ticket, jitter_override});
+  ++*backlog_;
   if (!busy_) start_next();
   return ticket;
 }
@@ -74,26 +77,38 @@ std::uint64_t Instance::submit(DoneFn done, double jitter_override) {
 bool Instance::cancel(std::uint64_t ticket) {
   if (ticket == 0) return false;
   if (busy_ && ticket == current_ticket_) {
-    // Abort the in-flight execution: the server erases the Exec (the
-    // completion lambda — and the DoneFn it owns — is destroyed without
-    // firing) and recomputes the survivors' rates.
-    server_->abort_execution(current_exec_);
-    busy_ = false;
-    current_exec_ = 0;
-    current_ticket_ = 0;
-    last_finish_ = engine_->now();
+    abort_running();
     ++cancellations_;
-    if (!queue_.empty()) start_next();
     return true;
   }
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (it->ticket == ticket) {
       queue_.erase(it);  // destroying Pending::done releases captured refs
+      --*backlog_;
       ++cancellations_;
       return true;
     }
   }
   return false;
+}
+
+bool Instance::abort_running() {
+  if (!busy_) return false;
+  // The server erases the Exec (the completion lambda — and the DoneFn it
+  // owns — is destroyed without firing) and recomputes the survivors'
+  // rates.
+  server_->abort_execution(current_exec_);
+  finish_running();
+  if (!queue_.empty()) start_next();
+  return true;
+}
+
+void Instance::finish_running() {
+  busy_ = false;
+  last_finish_ = engine_->now();
+  current_exec_ = 0;
+  current_ticket_ = 0;
+  --*backlog_;
 }
 
 void Instance::start_next() {
@@ -124,10 +139,7 @@ void Instance::start_next() {
         inv.cold = cold;
         latencies_.add(inv.local_latency_s);
         ipc_stats_.add(r.mean_ipc);
-        busy_ = false;
-        last_finish_ = engine_->now();
-        current_exec_ = 0;
-        current_ticket_ = 0;
+        finish_running();
         if (!queue_.empty()) start_next();
         if (*done) (*done)(inv);
       },

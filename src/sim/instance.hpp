@@ -37,9 +37,12 @@ class Instance {
  public:
   using DoneFn = std::function<void(const InvocationResult&)>;
 
+  /// `backlog` is the owner's running count of queued plus running
+  /// invocations (Cluster::total_backlog); the instance adjusts it on
+  /// every transition that changes backlog().
   Instance(std::uint64_t id, std::size_t app, std::size_t fn,
            const wl::FunctionSpec* spec, Server* server, Engine* engine,
-           InstanceConfig config, std::uint64_t seed);
+           InstanceConfig config, std::uint64_t seed, std::size_t* backlog);
   ~Instance();
 
   Instance(const Instance&) = delete;
@@ -65,9 +68,15 @@ class Instance {
   /// recorded. Returns false when the ticket already completed (or was
   /// already cancelled) — cancellation is idempotent.
   bool cancel(std::uint64_t ticket);
+  /// Abort the running invocation (the workload migrates off the
+  /// server): its DoneFn never fires and the next queued invocation
+  /// starts. Returns false when nothing is running.
+  bool abort_running();
 
   std::size_t queue_depth() const { return queue_.size(); }
   bool busy() const { return busy_; }
+  /// Invocations queued or running here.
+  std::size_t backlog() const { return queue_.size() + (busy_ ? 1 : 0); }
   /// True once the instance has served its first invocation (and has
   /// not re-cooled past the idle expiry).
   bool warm() const { return warm_; }
@@ -93,6 +102,9 @@ class Instance {
   };
 
   void start_next();
+  /// The running invocation left (completed or aborted): clear it and
+  /// take it off the backlog count.
+  void finish_running();
   std::vector<wl::Phase> materialize_phases(bool cold, double jitter_override);
 
   std::uint64_t id_;
@@ -103,6 +115,7 @@ class Instance {
   Engine* engine_;
   InstanceConfig config_;
   stats::Rng rng_;
+  std::size_t* backlog_;
 
   std::deque<Pending> queue_;
   bool busy_ = false;

@@ -285,10 +285,7 @@ std::size_t Platform::abort_executions(std::size_t app) {
   DeployedApp& d = *apps_.at(app);
   for (auto& reps : d.replicas) {
     for (Instance* inst : reps) {
-      Server& server = inst->server();
-      for (const ExecId id : server.executions_of(inst)) {
-        if (server.abort_execution(id)) ++aborted;
-      }
+      if (inst->abort_running()) ++aborted;
     }
   }
   return aborted;
@@ -337,7 +334,7 @@ std::size_t Platform::queued_invocations(std::size_t app,
                                          std::size_t fn) const {
   std::size_t n = 0;
   for (const Instance* inst : apps_.at(app)->replicas.at(fn)) {
-    n += inst->queue_depth() + (inst->busy() ? 1 : 0);
+    n += inst->backlog();
   }
   return n;
 }
@@ -352,6 +349,7 @@ void Platform::refresh_metrics() {
       .set(static_cast<double>(cluster_->instances_created()));
   metrics_.gauge("cluster.instances_destroyed")
       .set(static_cast<double>(cluster_->instances_destroyed()));
+  cluster_->check_backlog();
   metrics_.gauge("cluster.backlog")
       .set(static_cast<double>(cluster_->total_backlog()));
   metrics_.gauge("cluster.function_density").set(function_density());

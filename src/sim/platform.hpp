@@ -120,8 +120,10 @@ class Platform final : public Router, public RequestSink {
   /// Run an SC/BG app once through its graph; on_done receives the JCT.
   void submit_job(std::size_t app, std::function<void(double)> on_done = {});
   /// Abort every running execution of the app (models migrating the
-  /// workload off its servers — the "local control" of Observation 5).
-  /// Pending completions never fire. Returns the number aborted.
+  /// workload off its servers — the "local control" of Observation 5)
+  /// through Instance::abort_running: the aborted completions never
+  /// fire, and each instance moves on to its next queued invocation.
+  /// Returns the number aborted.
   std::size_t abort_executions(std::size_t app);
 
   // --- Execution ---------------------------------------------------------

@@ -58,14 +58,6 @@ bool Server::abort_execution(ExecId id) {
   return true;
 }
 
-std::vector<ExecId> Server::executions_of(const void* owner) const {
-  std::vector<ExecId> out;
-  for (const auto& [id, e] : execs_) {
-    if (e.owner == owner) out.push_back(id);
-  }
-  return out;
-}
-
 const ExecObservation* Server::observation(ExecId id) const {
   const auto it = execs_.find(id);
   return it == execs_.end() ? nullptr : &it->second.obs;

@@ -68,8 +68,6 @@ class Server {
   bool abort_execution(ExecId id);
 
   std::size_t active_count() const { return execs_.size(); }
-  /// Ids of active executions started with the given owner tag.
-  std::vector<ExecId> executions_of(const void* owner) const;
   /// Observation currently in force for an active execution (nullptr when
   /// the id is not active).
   const ExecObservation* observation(ExecId id) const;

@@ -10,6 +10,7 @@ struct InstanceFixture : ::testing::Test {
   Engine engine;
   InterferenceModel model;
   Server server{0, ServerConfig::tiny(), &engine, &model};
+  std::size_t backlog = 0;  ///< the count a Cluster would own
   wl::FunctionSpec spec = [] {
     wl::FunctionSpec s;
     s.name = "fn";
@@ -22,7 +23,7 @@ struct InstanceFixture : ::testing::Test {
 };
 
 TEST_F(InstanceFixture, FirstInvocationIsCold) {
-  Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42);
+  Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42, &backlog);
   InvocationResult result;
   bool done = false;
   inst.submit([&](const InvocationResult& r) {
@@ -37,7 +38,7 @@ TEST_F(InstanceFixture, FirstInvocationIsCold) {
 }
 
 TEST_F(InstanceFixture, SecondInvocationIsWarm) {
-  Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42);
+  Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42, &backlog);
   std::vector<InvocationResult> results;
   inst.submit([&](const InvocationResult& r) { results.push_back(r); });
   engine.run_until(10.0);
@@ -51,7 +52,7 @@ TEST_F(InstanceFixture, SecondInvocationIsWarm) {
 TEST_F(InstanceFixture, IdleExpiryRecools) {
   InstanceConfig cfg;
   cfg.idle_expiry_s = 5.0;
-  Instance inst(1, 0, 0, &spec, &server, &engine, cfg, 42);
+  Instance inst(1, 0, 0, &spec, &server, &engine, cfg, 42, &backlog);
   int colds = 0;
   auto count = [&](const InvocationResult& r) { colds += r.cold ? 1 : 0; };
   inst.submit(count);
@@ -65,14 +66,17 @@ TEST_F(InstanceFixture, IdleExpiryRecools) {
 }
 
 TEST_F(InstanceFixture, FifoQueueingAccumulatesWait) {
-  Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42);
+  Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42, &backlog);
   std::vector<InvocationResult> results;
   for (int i = 0; i < 3; ++i) {
     inst.submit([&](const InvocationResult& r) { results.push_back(r); });
   }
   EXPECT_EQ(inst.queue_depth(), 2u);  // one running, two queued
+  EXPECT_EQ(inst.backlog(), 3u);
+  EXPECT_EQ(backlog, 3u);
   engine.run_until(30.0);
   ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(backlog, 0u);
   EXPECT_NEAR(results[0].queue_wait_s, 0.0, 1e-9);
   EXPECT_NEAR(results[1].queue_wait_s, 1.5, 1e-9);  // behind cold+work
   EXPECT_NEAR(results[2].queue_wait_s, 2.5, 1e-9);
@@ -82,14 +86,14 @@ TEST_F(InstanceFixture, FifoQueueingAccumulatesWait) {
 TEST_F(InstanceFixture, ResidentMemoryTracked) {
   EXPECT_DOUBLE_EQ(server.resident_mem_gb(), 0.0);
   {
-    Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42);
+    Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42, &backlog);
     EXPECT_DOUBLE_EQ(server.resident_mem_gb(), 0.25);
   }
   EXPECT_DOUBLE_EQ(server.resident_mem_gb(), 0.0);
 }
 
 TEST_F(InstanceFixture, StatsAccumulate) {
-  Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42);
+  Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42, &backlog);
   for (int i = 0; i < 5; ++i) {
     inst.submit([](const InvocationResult&) {});
     engine.run_until(engine.now() + 10.0);
@@ -100,7 +104,7 @@ TEST_F(InstanceFixture, StatsAccumulate) {
 }
 
 TEST_F(InstanceFixture, RetireMarksDraining) {
-  Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42);
+  Instance inst(1, 0, 0, &spec, &server, &engine, {}, 42, &backlog);
   EXPECT_FALSE(inst.draining());
   EXPECT_TRUE(inst.idle());
   inst.retire();

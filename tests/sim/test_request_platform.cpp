@@ -3,6 +3,7 @@
 #include "sim/autoscaler.hpp"
 #include "sim/platform.hpp"
 #include "stats/summary.hpp"
+#include "workloads/functionbench.hpp"
 #include "workloads/socialnetwork.hpp"
 #include "workloads/sparkapps.hpp"
 #include "workloads/suite.hpp"
@@ -126,6 +127,27 @@ TEST(Platform, JobJctNearSoloWhenAlone) {
   platform.submit_job(id, [&](double v) { jct = v; });
   platform.run_until(100.0);
   EXPECT_NEAR(jct, app.total_solo_s(), 0.2);
+}
+
+TEST(Platform, AbortExecutionsFreesInstanceForQueuedWork) {
+  // Aborting the running job (the workload migrates away) must release
+  // its instance: the queued job starts and completes, the instance goes
+  // idle, and the gateway's backlog signal drains to zero.
+  Platform platform(warm_config(1));
+  const std::size_t id = platform.deploy(wl::matmul(1.0), {0});
+  platform.submit_job(id);
+  platform.submit_job(id);
+  platform.run_until(1.0);
+  EXPECT_EQ(platform.cluster().total_backlog(), 2u);
+  EXPECT_EQ(platform.abort_executions(id), 1u);
+  EXPECT_EQ(platform.cluster().total_backlog(), 1u);
+  platform.run_until(200.0);
+  EXPECT_EQ(platform.stats(id).jct.size(), 1u);
+  EXPECT_EQ(platform.cluster().total_backlog(), 0u);
+  for (const Instance* inst : platform.replicas(id, 0)) {
+    EXPECT_TRUE(inst->idle());
+  }
+  EXPECT_EQ(platform.abort_executions(id), 0u);  // nothing left running
 }
 
 TEST(Platform, FnLatencyAndIpcPerFunctionRecorded) {
