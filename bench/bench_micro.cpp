@@ -403,8 +403,11 @@ void BM_InterferenceEvaluate(benchmark::State& state) {
   }
   std::vector<const wl::Phase*> ptrs;
   for (const auto& p : phases) ptrs.push_back(&p);
+  std::vector<sim::ExecObservation> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.evaluate(server, ptrs));
+    model.evaluate(server, ptrs, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_InterferenceEvaluate)->Arg(2)->Arg(8)->Arg(32);

@@ -23,10 +23,10 @@ double channel_factor(double own, double total, double capacity, double cap_u) {
 
 }  // namespace
 
-std::vector<ExecObservation> InterferenceModel::evaluate(
-    const ServerConfig& server,
-    std::span<const wl::Phase* const> phases) const {
-  std::vector<ExecObservation> out(phases.size());
+void InterferenceModel::evaluate(const ServerConfig& server,
+                                 std::span<const wl::Phase* const> phases,
+                                 std::vector<ExecObservation>& out) const {
+  out.assign(phases.size(), ExecObservation{});
 
   DemandTotals totals;
   std::size_t active = 0;
@@ -35,7 +35,7 @@ std::vector<ExecObservation> InterferenceModel::evaluate(
     totals.add(p->demand);
     ++active;
   }
-  if (active == 0) return out;
+  if (active == 0) return;
 
   // CPU: time-slicing once demanded cores exceed the node.
   const double cpu_factor = std::max(1.0, totals.cores / server.cores);
@@ -123,13 +123,14 @@ std::vector<ExecObservation> InterferenceModel::evaluate(
     ob.disk_mbps = d.disk_mbps / disk_factor;
     ob.net_mbps = d.net_mbps / net_factor;
   }
-  return out;
 }
 
 ExecObservation InterferenceModel::solo(const ServerConfig& server,
                                         const wl::Phase& p) const {
   const wl::Phase* ptr = &p;
-  return evaluate(server, std::span<const wl::Phase* const>(&ptr, 1))[0];
+  std::vector<ExecObservation> out;
+  evaluate(server, std::span<const wl::Phase* const>(&ptr, 1), out);
+  return out[0];
 }
 
 }  // namespace gsight::sim

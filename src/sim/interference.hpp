@@ -66,11 +66,13 @@ class InterferenceModel {
   explicit InterferenceModel(InterferenceParams params = {})
       : params_(params) {}
 
-  /// Evaluate all colocated phases on a node at once. `phases[i]` may be
-  /// null for idle slots (skipped; result left default).
-  std::vector<ExecObservation> evaluate(
-      const ServerConfig& server,
-      std::span<const wl::Phase* const> phases) const;
+  /// Evaluate all colocated phases on a node at once into `out`, which is
+  /// resized to `phases.size()` (its capacity is reused, so a caller that
+  /// keeps it allocates nothing on repeat calls). `phases[i]` may be null
+  /// for idle slots (skipped; `out[i]` left default).
+  void evaluate(const ServerConfig& server,
+                std::span<const wl::Phase* const> phases,
+                std::vector<ExecObservation>& out) const;
 
   /// Convenience: one execution alone on the node (must give rate == 1).
   ExecObservation solo(const ServerConfig& server, const wl::Phase& p) const;

@@ -2,8 +2,9 @@
 // interference model. Executions progress at rates that depend on the
 // whole colocation set; any membership or phase change triggers a
 // recompute that (a) banks elapsed progress at the old rates, (b)
-// re-evaluates rates, and (c) reschedules completion events. Stale events
-// are invalidated by per-execution generation counters.
+// re-evaluates rates, and (c) schedules the server's one completion event,
+// for the execution whose phase ends first. Each recompute bumps a
+// server-level generation, which turns the previous event into a no-op.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +99,6 @@ class Server {
     double remaining = 0.0;  ///< solo-seconds left in the current phase
     double rate = 1.0;
     SimTime last_update = 0.0;
-    std::uint64_t gen = 0;
     CompletionFn on_complete;
     void* owner = nullptr;
     ExecObservation obs;
@@ -108,10 +108,10 @@ class Server {
     double busy_integral = 0.0;
   };
 
-  /// Bank progress at old rates, re-evaluate the colocation, reschedule.
+  /// Bank progress at old rates, re-evaluate the colocation, schedule the
+  /// next completion event.
   void recompute();
-  void schedule_completion(Exec& e);
-  void on_phase_event(ExecId id, std::uint64_t gen);
+  void on_phase_event(std::uint64_t gen);
 
   std::size_t id_;
   ServerConfig config_;
@@ -125,6 +125,16 @@ class Server {
   // depend on hash-table layout.
   std::map<ExecId, Exec> execs_;
   ExecId next_id_ = 1;
+  // The one pending completion event: it ends the current phase of
+  // `next_done_` and is live only while `gen_` still equals the generation
+  // it captured.
+  ExecId next_done_ = 0;
+  std::uint64_t gen_ = 0;
+  // recompute() scratch, kept so a recompute allocates nothing once the
+  // server has seen its largest colocation.
+  std::vector<const wl::Phase*> phases_;
+  std::vector<Exec*> order_;
+  std::vector<ExecObservation> observations_;
   ResourceLedger resident_mem_;
   std::size_t resident_count_ = 0;
 };

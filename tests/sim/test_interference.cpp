@@ -14,7 +14,9 @@ std::vector<ExecObservation> eval(const InterferenceModel& model,
                                   const std::vector<wl::Phase>& phases) {
   std::vector<const wl::Phase*> ptrs;
   for (const auto& p : phases) ptrs.push_back(&p);
-  return model.evaluate(server, ptrs);
+  std::vector<ExecObservation> out;
+  model.evaluate(server, ptrs, out);
+  return out;
 }
 
 TEST(Interference, SoloRunsAtFullSpeed) {
@@ -33,7 +35,8 @@ TEST(Interference, SoloRunsAtFullSpeed) {
 
 TEST(Interference, EmptyServerNoObservations) {
   InterferenceModel model;
-  const auto out = model.evaluate(ServerConfig::tiny(), {});
+  std::vector<ExecObservation> out(2);  // stale entries are dropped
+  model.evaluate(ServerConfig::tiny(), {}, out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -41,7 +44,10 @@ TEST(Interference, NullSlotsAreSkipped) {
   InterferenceModel model;
   const auto phase = wl::cpu_phase("c", 1.0);
   std::vector<const wl::Phase*> ptrs{nullptr, &phase, nullptr};
-  const auto out = model.evaluate(ServerConfig::tiny(), ptrs);
+  // A reused output vector: the null slot is reset, not left stale.
+  std::vector<ExecObservation> out(5);
+  out[0].ipc = 9.0;
+  model.evaluate(ServerConfig::tiny(), ptrs, out);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_DOUBLE_EQ(out[0].ipc, 0.0);
   EXPECT_NEAR(out[1].rate, 1.0, 1e-9);

@@ -56,7 +56,8 @@ TEST_P(InterferenceProperty, ColocationNeverExceedsSoloSpeed) {
     for (std::size_t i = 0; i < n; ++i) phases.push_back(random_phase(rng));
     std::vector<const wl::Phase*> ptrs;
     for (const auto& p : phases) ptrs.push_back(&p);
-    const auto obs = model.evaluate(server, ptrs);
+    std::vector<ExecObservation> obs;
+    model.evaluate(server, ptrs, obs);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_LE(obs[i].rate, 1.0 + 1e-9);
       EXPECT_LE(obs[i].ipc, phases[i].uarch.base_ipc + 1e-9);
@@ -72,7 +73,8 @@ TEST_P(InterferenceProperty, IdenticalPhasesGetIdenticalObservations) {
   const auto server = ServerConfig::socket();
   const auto p = random_phase(rng);
   std::vector<const wl::Phase*> ptrs{&p, &p, &p};
-  const auto obs = model.evaluate(server, ptrs);
+  std::vector<ExecObservation> obs;
+  model.evaluate(server, ptrs, obs);
   for (std::size_t i = 1; i < obs.size(); ++i) {
     EXPECT_DOUBLE_EQ(obs[i].rate, obs[0].rate);
     EXPECT_DOUBLE_EQ(obs[i].ipc, obs[0].ipc);
@@ -96,8 +98,10 @@ TEST_P(InterferenceProperty, BiggerServerNeverSlower) {
     for (int i = 0; i < 4; ++i) phases.push_back(random_phase(rng));
     std::vector<const wl::Phase*> ptrs;
     for (const auto& p : phases) ptrs.push_back(&p);
-    const auto obs_small = model.evaluate(small, ptrs);
-    const auto obs_big = model.evaluate(big, ptrs);
+    std::vector<ExecObservation> obs_small;
+    std::vector<ExecObservation> obs_big;
+    model.evaluate(small, ptrs, obs_small);
+    model.evaluate(big, ptrs, obs_big);
     for (std::size_t i = 0; i < phases.size(); ++i) {
       EXPECT_GE(obs_big[i].rate, obs_small[i].rate - 1e-9) << trial;
       EXPECT_GE(obs_big[i].ipc, obs_small[i].ipc - 1e-9) << trial;
