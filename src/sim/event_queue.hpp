@@ -1,7 +1,10 @@
 // Time-ordered event queue for the discrete-event engine. Events are
 // closures tagged with a sequence number so simultaneous events fire in
 // scheduling order (deterministic replay). Cancellation is by generation
-// counters at the call sites (lazy invalidation), not by queue surgery.
+// counters at the call sites (lazy invalidation), not by queue surgery: a
+// superseded event stays queued until its time and then returns at once.
+// Each Server keeps one generation for its one pending completion event,
+// so a recompute leaves at most one superseded event behind.
 #pragma once
 
 #include <cstdint>

@@ -154,5 +154,80 @@ TEST_F(Fixture, ManyStaggeredExecutionsAllComplete) {
   EXPECT_EQ(server.active_count(), 0u);
 }
 
+// Completion events. The fixture's engine holds only this server's
+// events, so pending() and events_executed() count its completion events.
+
+TEST_F(Fixture, EqualEtaCompletesInExecIdOrder) {
+  // Identical executions begun together have equal remaining/rate; they
+  // must finish in start (ExecId) order.
+  std::vector<ExecId> done;
+  std::vector<ExecId> ids;
+  for (int i = 0; i < 3; ++i) {
+    ids.push_back(server.begin_execution(
+        {wl::cpu_phase("c", 1.0, /*cores=*/2.0)},
+        [&done, &ids, i](const ExecResult&) { done.push_back(ids[i]); }));
+  }
+  engine.run_all();
+  EXPECT_EQ(done, ids);
+}
+
+TEST_F(Fixture, OneCompletionEventForManyExecutions) {
+  // Five 4-core executions time-slice the 4-core node (1 MB of LLC each
+  // stays within its 8 MB), so the k-th arrival runs everyone at 1/k
+  // speed and every superseded event lies before the live one at t = 5.
+  std::vector<double> finished;
+  for (int i = 1; i <= 5; ++i) {
+    const std::size_t before = engine.pending();
+    server.begin_execution(
+        {wl::cpu_phase("c", static_cast<double>(i), /*cores=*/4.0,
+                       /*llc_mb=*/1.0)},
+        [&](const ExecResult&) { finished.push_back(engine.now()); });
+    EXPECT_EQ(engine.pending(), before + 1) << "execution " << i;
+  }
+  ASSERT_EQ(server.active_count(), 5u);
+  // The four superseded events fire as no-ops before the first completion.
+  engine.run_until(4.5);
+  EXPECT_EQ(engine.events_executed(), 4u);
+  EXPECT_EQ(server.active_count(), 5u);
+  EXPECT_EQ(engine.pending(), 1u);
+
+  // Five arrivals and four completions with survivors each push one event.
+  EXPECT_EQ(engine.run_all(), 5u);
+  EXPECT_EQ(engine.events_executed(), 9u);
+  ASSERT_EQ(finished.size(), 5u);
+  // No superseded event trails the last completion (t ~ 15.09), so the
+  // drain ends there.
+  EXPECT_EQ(engine.now(), finished.back());
+  EXPECT_EQ(engine.now(), 0x1.e30355d72833p+3)
+      << std::hexfloat << engine.now();
+}
+
+TEST_F(Fixture, BeginAndAbortLeaveThePendingEventStale) {
+  // A: 1 s of work on all four cores, alone until B arrives at 0.5 s.
+  std::vector<double> done_a;
+  server.begin_execution(
+      {wl::cpu_phase("a", 1.0, /*cores=*/4.0)},
+      [&](const ExecResult&) { done_a.push_back(engine.now()); });
+  engine.run_until(0.5);
+  ASSERT_EQ(engine.pending(), 1u);
+  // B halves A's rate: A's event at t = 1 is now stale.
+  const ExecId b = server.begin_execution(
+      {wl::cpu_phase("b", 10.0, /*cores=*/4.0)}, [](const ExecResult&) {});
+  EXPECT_EQ(engine.pending(), 2u);
+  engine.run_until(1.2);
+  EXPECT_EQ(engine.events_executed(), 1u);  // the stale event, a no-op
+  EXPECT_TRUE(done_a.empty());
+  EXPECT_EQ(server.active_count(), 2u);
+  // Aborting B restores A's full rate: the event for A under sharing is
+  // now stale and fires after A completes, again as a no-op.
+  ASSERT_TRUE(server.abort_execution(b));
+  EXPECT_EQ(engine.pending(), 2u);
+  EXPECT_EQ(engine.run_all(), 2u);
+  ASSERT_EQ(done_a.size(), 1u);
+  EXPECT_GT(done_a[0], 1.2);
+  EXPECT_LT(done_a[0], engine.now());
+  EXPECT_EQ(server.active_count(), 0u);
+}
+
 }  // namespace
 }  // namespace gsight::sim
