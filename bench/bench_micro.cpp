@@ -90,7 +90,7 @@ BENCHMARK(BM_ForestPredict)->Arg(256)->Arg(2580);
 
 // Paper-scale training set: Table-4 dimensionality (2580-dim overlap
 // codes) with the deployed Extra-Trees config from core::make_model.
-// `threads = 1` isolates the algorithmic kernel speedup from the pool.
+// `threads = 1` keeps the thread pool out of the training timings.
 ml::Dataset table4_train_data(std::size_t dims, std::size_t rows,
                               stats::Rng& rng) {
   ml::Dataset data(dims);
@@ -102,8 +102,7 @@ ml::Dataset table4_train_data(std::size_t dims, std::size_t rows,
   return data;
 }
 
-ml::ForestConfig deployed_forest_config(ml::SplitMode mode,
-                                        ml::TreeKernel kernel) {
+ml::ForestConfig deployed_forest_config(ml::SplitMode mode) {
   ml::ForestConfig cfg;
   cfg.n_trees = 8;
   cfg.threads = 1;
@@ -111,19 +110,16 @@ ml::ForestConfig deployed_forest_config(ml::SplitMode mode,
   cfg.tree.max_depth = 22;
   cfg.tree.min_samples_leaf = 2;
   cfg.tree.max_features = 128;
-  cfg.tree.kernel = kernel;
   return cfg;
 }
 
-// Legacy vs columnar training kernel, kRandom (the deployed split mode)
-// at full 2580-dim scale and kBest at a presortable width. The RunReport
-// rows for these four benchmarks are the record of the legacy-vs-fast
-// speedup claimed in DESIGN.md §10.
+// Forest training, kRandom (the deployed split mode) at full 2580-dim
+// scale and kBest at a presortable width.
 void BM_ForestTrain(benchmark::State& state, ml::SplitMode mode,
-                    ml::TreeKernel kernel, std::size_t dims) {
+                    std::size_t dims) {
   stats::Rng data_rng(7);
   const auto data = table4_train_data(dims, 500, data_rng);
-  const auto cfg = deployed_forest_config(mode, kernel);
+  const auto cfg = deployed_forest_config(mode);
   std::uint64_t seed = 11;
   for (auto _ : state) {
     ml::RandomForestRegressor forest(cfg);
@@ -132,23 +128,12 @@ void BM_ForestTrain(benchmark::State& state, ml::SplitMode mode,
     benchmark::DoNotOptimize(forest.tree_count());
   }
 }
-void BM_ForestTrainLegacy(benchmark::State& state) {
-  BM_ForestTrain(state, ml::SplitMode::kRandom, ml::TreeKernel::kLegacy,
-                 2580);
-}
-BENCHMARK(BM_ForestTrainLegacy)->Unit(benchmark::kMillisecond);
 void BM_ForestTrainColumnar(benchmark::State& state) {
-  BM_ForestTrain(state, ml::SplitMode::kRandom, ml::TreeKernel::kColumnar,
-                 2580);
+  BM_ForestTrain(state, ml::SplitMode::kRandom, 2580);
 }
 BENCHMARK(BM_ForestTrainColumnar)->Unit(benchmark::kMillisecond);
-void BM_ForestTrainBestLegacy(benchmark::State& state) {
-  BM_ForestTrain(state, ml::SplitMode::kBest, ml::TreeKernel::kLegacy, 256);
-}
-BENCHMARK(BM_ForestTrainBestLegacy)->Unit(benchmark::kMillisecond);
 void BM_ForestTrainBestColumnar(benchmark::State& state) {
-  BM_ForestTrain(state, ml::SplitMode::kBest, ml::TreeKernel::kColumnar,
-                 256);
+  BM_ForestTrain(state, ml::SplitMode::kBest, 256);
 }
 BENCHMARK(BM_ForestTrainBestColumnar)->Unit(benchmark::kMillisecond);
 
@@ -156,14 +141,13 @@ BENCHMARK(BM_ForestTrainBestColumnar)->Unit(benchmark::kMillisecond);
 // forest predict) against the flattened layouts: single predict() calls
 // and the predict_batch API — the shape of query batch the placement
 // fast path in GsightScheduler::sla_ok issues.
-enum class PredictPath { kLegacyTreeWalk, kFlatSingles, kFlatBatch };
+enum class PredictPath { kTreeWalk, kFlatSingles, kFlatBatch };
 
 void BM_ForestPredictImpl(benchmark::State& state, PredictPath path) {
   stats::Rng rng(19);
   const std::size_t dims = 2580;
   const auto data = table4_train_data(dims, 500, rng);
-  auto cfg = deployed_forest_config(ml::SplitMode::kRandom,
-                                    ml::TreeKernel::kColumnar);
+  auto cfg = deployed_forest_config(ml::SplitMode::kRandom);
   cfg.n_trees = 80;  // deployed ensemble size (core::make_model)
   ml::RandomForestRegressor forest(cfg);
   stats::Rng fit_rng(23);
@@ -176,7 +160,7 @@ void BM_ForestPredictImpl(benchmark::State& state, PredictPath path) {
   }
   for (auto _ : state) {
     switch (path) {
-      case PredictPath::kLegacyTreeWalk: {
+      case PredictPath::kTreeWalk: {
         double acc = 0.0;
         const auto trees = forest.trees();
         for (std::size_t r = 0; r < queries.rows(); ++r) {
@@ -202,7 +186,7 @@ void BM_ForestPredictImpl(benchmark::State& state, PredictPath path) {
   }
 }
 void BM_ForestPredictLegacy(benchmark::State& state) {
-  BM_ForestPredictImpl(state, PredictPath::kLegacyTreeWalk);
+  BM_ForestPredictImpl(state, PredictPath::kTreeWalk);
 }
 BENCHMARK(BM_ForestPredictLegacy)->Unit(benchmark::kMicrosecond);
 void BM_ForestPredictSingles(benchmark::State& state) {

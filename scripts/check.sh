@@ -14,7 +14,7 @@
 #      / shard tests (the multi-threaded code paths)
 #   5. bench smoke: run bench_micro with RunReport enabled and validate
 #      the emitted BENCH_micro.json with tools/bench_schema_check
-#   5b. model kernels: legacy-vs-columnar forest train and predict
+#   5b. model kernels: forest train and predict
 #      benchmarks and the serving-layer inference kernels under
 #      GSIGHT_THREADS=1, schema-checked like any bench
 #   5c. forest-inference perf guard: the median CPU time of repeated
@@ -170,10 +170,11 @@ GSIGHT_BENCH_DIR="$SMOKE_DIR" "$BENCH_DIR/bench/bench_micro" \
 "$BENCH_DIR/tools/bench_schema_check" "$SMOKE_DIR/BENCH_micro.json"
 
 # --- 5b. Model-kernel bench ------------------------------------------------
-# The legacy-vs-columnar forest kernels and the flattened predict paths,
-# pinned to one thread so the numbers measure the kernels, not the pool.
+# Forest training (kRandom and kBest) and the predict paths (the per-tree
+# walk and the flattened singles and batch), pinned to one thread so the
+# numbers measure the kernels, not the pool.
 # Their RunReport must satisfy the same schema as every other bench.
-banner "model kernels: legacy vs columnar forest train/predict"
+banner "model kernels: forest train/predict"
 KERNEL_DIR="$BENCH_DIR/model-kernels"
 rm -rf "$KERNEL_DIR" && mkdir -p "$KERNEL_DIR"
 GSIGHT_THREADS=1 GSIGHT_BENCH_DIR="$KERNEL_DIR" "$BENCH_DIR/bench/bench_micro" \

@@ -32,7 +32,7 @@ std::vector<double> ScenarioPredictor::predict_batch(
   return out;
 }
 
-ml::IncrementalForestConfig deployed_irfr_config(ml::TreeKernel forest_kernel) {
+ml::IncrementalForestConfig deployed_irfr_config() {
   ml::IncrementalForestConfig cfg;
   cfg.forest.n_trees = 80;
   // The overlap-coded feature space is wide (hundreds to thousands of
@@ -44,16 +44,15 @@ ml::IncrementalForestConfig deployed_irfr_config(ml::TreeKernel forest_kernel) {
   cfg.forest.tree.max_depth = 22;
   cfg.forest.tree.min_samples_leaf = 2;
   cfg.forest.tree.max_features = 128;
-  cfg.forest.tree.kernel = forest_kernel;
   return cfg;
 }
 
-std::unique_ptr<ml::IncrementalRegressor> make_model(
-    ModelKind kind, std::uint64_t seed, ml::TreeKernel forest_kernel) {
+std::unique_ptr<ml::IncrementalRegressor> make_model(ModelKind kind,
+                                                     std::uint64_t seed) {
   switch (kind) {
     case ModelKind::kIRFR:
       return std::make_unique<ml::IncrementalForest>(
-          deployed_irfr_config(forest_kernel), seed);
+          deployed_irfr_config(), seed);
     case ModelKind::kIKNN:
       return std::make_unique<ml::IncrementalKnn>(ml::KnnConfig{}, seed);
     case ModelKind::kILR:
@@ -67,8 +66,7 @@ std::unique_ptr<ml::IncrementalRegressor> make_model(
 }
 
 GsightPredictor::GsightPredictor(PredictorConfig config)
-    : GsightPredictor(config, make_model(config.model, config.seed,
-                                         config.forest_kernel)) {}
+    : GsightPredictor(config, make_model(config.model, config.seed)) {}
 
 GsightPredictor::GsightPredictor(PredictorConfig config,
                                  std::unique_ptr<ml::IncrementalRegressor> model)

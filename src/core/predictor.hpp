@@ -33,12 +33,10 @@ const char* to_string(ModelKind kind);
 /// of truth shared by make_model and the online serving stack, so the
 /// model served by `gsight serve-bench` is the model the experiments
 /// evaluate.
-ml::IncrementalForestConfig deployed_irfr_config(
-    ml::TreeKernel forest_kernel = ml::TreeKernel::kColumnar);
+ml::IncrementalForestConfig deployed_irfr_config();
 
-std::unique_ptr<ml::IncrementalRegressor> make_model(
-    ModelKind kind, std::uint64_t seed = 1,
-    ml::TreeKernel forest_kernel = ml::TreeKernel::kColumnar);
+std::unique_ptr<ml::IncrementalRegressor> make_model(ModelKind kind,
+                                                     std::uint64_t seed = 1);
 
 /// Common interface for everything that predicts a target workload's QoS
 /// from a colocation scenario — Gsight itself and the ESP / Pythia
@@ -66,10 +64,6 @@ struct PredictorConfig {
   /// have accumulated (amortises incremental updates).
   std::size_t update_batch = 32;
   std::uint64_t seed = 1;
-  /// Forest training kernel (IRFR only). kColumnar is the fast path;
-  /// kLegacy keeps the original row-major kernel, retained one release
-  /// for equivalence checking (the two produce bit-identical models).
-  ml::TreeKernel forest_kernel = ml::TreeKernel::kColumnar;
 };
 
 class GsightPredictor final : public ScenarioPredictor {

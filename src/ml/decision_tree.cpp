@@ -21,127 +21,37 @@ struct SplitCandidate {
   double gain = -1.0;  // variance reduction * node weight
 };
 
-// Best threshold for one feature over rows[begin, end): sort by feature
-// value, scan prefix sums of y and y^2, maximise variance reduction.
-SplitCandidate best_split_for_feature(const Dataset& data,
-                                      std::span<const std::size_t> rows,
-                                      std::size_t feature,
-                                      std::size_t min_leaf) {
-  const std::size_t n = rows.size();
-  thread_local std::vector<std::pair<double, double>> vy;  // (x_f, y)
-  vy.clear();
-  vy.reserve(n);
-  for (std::size_t r : rows) vy.emplace_back(data.x(r)[feature], data.y(r));
-  std::sort(vy.begin(), vy.end());
-  if (vy.front().first == vy.back().first) return {};  // constant feature
-
-  double total_sum = 0.0, total_sq = 0.0;
-  for (const auto& [x, y] : vy) {
-    total_sum += y;
-    total_sq += y * y;
-  }
-  const double dn = static_cast<double>(n);
-  const double parent_sse = total_sq - total_sum * total_sum / dn;
-
-  SplitCandidate best;
-  best.feature = feature;
-  double left_sum = 0.0, left_sq = 0.0;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    left_sum += vy[i].second;
-    left_sq += vy[i].second * vy[i].second;
-    if (vy[i].first == vy[i + 1].first) continue;  // can't split inside ties
-    const std::size_t nl = i + 1;
-    const std::size_t nr = n - nl;
-    if (nl < min_leaf || nr < min_leaf) continue;
-    const double right_sum = total_sum - left_sum;
-    const double right_sq = total_sq - left_sq;
-    const double sse = (left_sq - left_sum * left_sum / static_cast<double>(nl)) +
-                       (right_sq - right_sum * right_sum / static_cast<double>(nr));
-    const double gain = parent_sse - sse;
-    if (gain > best.gain) {
-      best.gain = gain;
-      best.threshold = 0.5 * (vy[i].first + vy[i + 1].first);
-    }
-  }
-  return best;
-}
-
-// Extra-Trees style: draw one uniform threshold in (min, max) of the
-// feature over this node's rows and evaluate its gain in a single pass.
-SplitCandidate random_split_for_feature(const Dataset& data,
-                                        std::span<const std::size_t> rows,
-                                        std::size_t feature,
-                                        std::size_t min_leaf,
-                                        stats::Rng& rng) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  double total_sum = 0.0, total_sq = 0.0;
-  for (std::size_t r : rows) {
-    const double v = data.x(r)[feature];
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-    const double y = data.y(r);
-    total_sum += y;
-    total_sq += y * y;
-  }
-  if (lo == hi) return {};
-  const double threshold = rng.uniform(lo, hi);
-
-  double left_sum = 0.0, left_sq = 0.0;
-  std::size_t nl = 0;
-  for (std::size_t r : rows) {
-    if (data.x(r)[feature] <= threshold) {
-      const double y = data.y(r);
-      left_sum += y;
-      left_sq += y * y;
-      ++nl;
-    }
-  }
-  const std::size_t n = rows.size();
-  const std::size_t nr = n - nl;
-  if (nl < min_leaf || nr < min_leaf) return {};
-  const double parent_sse =
-      total_sq - total_sum * total_sum / static_cast<double>(n);
-  const double right_sum = total_sum - left_sum;
-  const double right_sq = total_sq - left_sq;
-  const double sse =
-      (left_sq - left_sum * left_sum / static_cast<double>(nl)) +
-      (right_sq - right_sum * right_sum / static_cast<double>(nr));
-  SplitCandidate cand;
-  cand.feature = feature;
-  cand.threshold = threshold;
-  cand.gain = parent_sse - sse;
-  return cand;
-}
-
 // ---------------------------------------------------------------------------
-// Columnar fast-path builder (TreeKernel::kColumnar).
+// ColumnarBuilder: grows one tree depth first, reading feature values from
+// the dataset's feature-major ColumnStore with unit stride.
 //
-// Bit-identical to the legacy kernel by construction:
-//  * node statistics accumulate over the same std::partition-ordered
-//    permutation of the bootstrap sample;
-//  * kBest split scans visit (x, y) pairs in exactly the order the legacy
-//    kernel's per-node sort produces — each feature's index list is sorted
-//    once per tree by (x, y) and then stable-partitioned down the
-//    recursion, so its restriction to any node is that node's sorted
-//    sequence (ties in x carry the same ascending-y order the legacy
-//    pair-sort yields, which matters because float accumulation is order
-//    sensitive);
-//  * the RNG call sequence (per-node feature sampling, kRandom
-//    thresholds) is unchanged.
-// What changes is purely mechanical: feature values are read from the
-// dataset's feature-major ColumnStore with unit stride, and kBest's
-// per-node gather+sort is replaced by the presorted lists. Above
-// kPresortMaxFeatures the lists would dominate memory (d·n indices), so
-// wide-feature kBest trees fall back to a per-node columnar gather+sort —
-// same values, same comparator, still column-strided reads.
+// Float accumulation is order sensitive and every kRandom threshold is an
+// RNG draw, so these orders are part of the output. The golden digests in
+// tests/ml/test_forest_equivalence.cpp pin them:
+//  * per-node accumulation: a node's sum and sum of squares add its ys in
+//    the order its segment of `pos_` holds;
+//  * the partition permutation: a split applies std::partition to the
+//    node's segment of `pos_` with the goes-left predicate, and each child
+//    inherits its part of that (unstable) permutation;
+//  * the (x, y) presort comparator: kBest visits a node's (x, y) pairs in
+//    lexicographic order, ties in x by ascending y. Each feature's index
+//    list is sorted once per tree with that comparator and then
+//    stable-partitioned down the recursion, so its restriction to any
+//    node is that node's sorted sequence. Above kPresortMaxFeatures the
+//    lists would dominate memory (d·n indices), so wide-feature kBest
+//    trees gather and sort (x, y) pairs per node instead, in the same
+//    order;
+//  * the RNG call sequence: one sample_without_replacement(d, k) per node
+//    that may split, then for kRandom one uniform(lo, hi) per sampled
+//    feature that varies over the node, in sample order.
 //
 // Constant-column skip: candidates whose column the ColumnStore flags as
-// constant are dropped from each node's feature sample before the scan,
+// constant are dropped from each node's feature sample after the draw,
 // and the kRandom prefetch therefore targets the next column that will
-// actually be read. Exact, because the sample is drawn first, and both
-// split searches return {} for such a column (lo == hi, front == back)
-// without drawing from the RNG, and {} never beats `best`. In the
+// actually be read. The skip changes no tree: such a column is constant
+// at every node, where both split searches would return {} (lo == hi,
+// front == back) without drawing from the RNG, and {} never beats
+// `best`. In the
 // zero-padded overlap code this skips most of the sampled columns.
 class ColumnarBuilder {
  public:
@@ -189,8 +99,7 @@ class ColumnarBuilder {
   }
 
   // Sort each feature's index list once for the whole tree, by (x, y) —
-  // the same lexicographic order the legacy kernel's std::sort of
-  // (x, y) pairs produces at every node.
+  // the order std::sort of (x, y) pairs gives at every node.
   void presort() {
     const std::size_t d = data_.feature_count();
     const std::size_t n = pos_.size();
@@ -209,21 +118,19 @@ class ColumnarBuilder {
     }
   }
 
-  // kBest over a presorted segment: the legacy scan with the sort already
-  // done. Totals accumulate in sorted order, exactly as the legacy kernel
-  // sums its sorted pair vector.
-  SplitCandidate best_split_presorted(std::size_t begin, std::size_t end,
-                                      std::size_t feature,
-                                      std::size_t min_leaf) const {
-    const std::uint32_t* seg = sorted_.data() + feature * pos_.size() + begin;
-    const std::size_t n = end - begin;
-    const auto col = cols_.column(feature);
-    const auto x_at = [&](std::size_t i) { return col[sample_row_[seg[i]]]; };
+  // The kBest scan over a node's n (x, y) pairs in (x, y) order, read
+  // through x_at(i) and y_at(i): totals, then prefix sums of y and y² in
+  // that order, maximising variance reduction at each boundary between
+  // distinct x values.
+  template <typename XAt, typename YAt>
+  static SplitCandidate best_split_scan(std::size_t n, std::size_t feature,
+                                        std::size_t min_leaf, XAt x_at,
+                                        YAt y_at) {
     if (x_at(0) == x_at(n - 1)) return {};  // constant feature
 
     double total_sum = 0.0, total_sq = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double y = ys_[seg[i]];
+      const double y = y_at(i);
       total_sum += y;
       total_sq += y * y;
     }
@@ -234,7 +141,7 @@ class ColumnarBuilder {
     best.feature = feature;
     double left_sum = 0.0, left_sq = 0.0;
     for (std::size_t i = 0; i + 1 < n; ++i) {
-      const double y = ys_[seg[i]];
+      const double y = y_at(i);
       left_sum += y;
       left_sq += y * y;
       if (x_at(i) == x_at(i + 1)) continue;  // can't split inside ties
@@ -255,69 +162,49 @@ class ColumnarBuilder {
     return best;
   }
 
-  // kBest fallback for wide feature spaces: per-node gather+sort like the
-  // legacy kernel, but gathering from the feature column instead of
-  // striding across rows.
+  // kBest over a presorted segment: the sort is already done.
+  SplitCandidate best_split_presorted(std::size_t begin, std::size_t end,
+                                      std::size_t feature,
+                                      std::size_t min_leaf) const {
+    const std::uint32_t* seg = sorted_.data() + feature * pos_.size() + begin;
+    const auto col = cols_.column(feature);
+    return best_split_scan(
+        end - begin, feature, min_leaf,
+        [&](std::size_t i) { return col[sample_row_[seg[i]]]; },
+        [&](std::size_t i) { return ys_[seg[i]]; });
+  }
+
+  // kBest fallback for wide feature spaces: gather the node's (x, y)
+  // pairs from the feature column and sort them per node.
   SplitCandidate best_split_gathered(std::size_t begin, std::size_t end,
                                      std::size_t feature,
                                      std::size_t min_leaf) const {
-    const std::size_t n = end - begin;
     const auto col = cols_.column(feature);
     thread_local std::vector<std::pair<double, double>> vy;  // (x_f, y)
     vy.clear();
-    vy.reserve(n);
+    vy.reserve(end - begin);
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint32_t p = pos_[i];
       vy.emplace_back(col[sample_row_[p]], ys_[p]);
     }
     std::sort(vy.begin(), vy.end());
-    if (vy.front().first == vy.back().first) return {};  // constant feature
-
-    double total_sum = 0.0, total_sq = 0.0;
-    for (const auto& [x, y] : vy) {
-      total_sum += y;
-      total_sq += y * y;
-    }
-    const double dn = static_cast<double>(n);
-    const double parent_sse = total_sq - total_sum * total_sum / dn;
-
-    SplitCandidate best;
-    best.feature = feature;
-    double left_sum = 0.0, left_sq = 0.0;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-      left_sum += vy[i].second;
-      left_sq += vy[i].second * vy[i].second;
-      if (vy[i].first == vy[i + 1].first) continue;
-      const std::size_t nl = i + 1;
-      const std::size_t nr = n - nl;
-      if (nl < min_leaf || nr < min_leaf) continue;
-      const double right_sum = total_sum - left_sum;
-      const double right_sq = total_sq - left_sq;
-      const double sse =
-          (left_sq - left_sum * left_sum / static_cast<double>(nl)) +
-          (right_sq - right_sum * right_sum / static_cast<double>(nr));
-      const double gain = parent_sse - sse;
-      if (gain > best.gain) {
-        best.gain = gain;
-        best.threshold = 0.5 * (vy[i].first + vy[i + 1].first);
-      }
-    }
-    return best;
+    return best_split_scan(
+        vy.size(), feature, min_leaf,
+        [&](std::size_t i) { return vy[i].first; },
+        [&](std::size_t i) { return vy[i].second; });
   }
 
-  // Extra-Trees split. Same draws, same accumulation orders, same gain
-  // bits as the legacy loop — restructured around what actually bounds
+  // Extra-Trees split: one uniform threshold in (min, max) of the feature
+  // over this node's rows, scored in one pass. Shaped around what bounds
   // it (FP dependency chains and a ~50% mispredicted branch, not reads):
-  //  * node totals are hoisted: the legacy kernel re-accumulates
-  //    total_sum/total_sq identically for every candidate feature, so the
-  //    once-per-node values from build() are the same bits;
+  //  * node totals come from build(), computed once per node rather than
+  //    once per candidate feature;
   //  * column values gather into a contiguous scratch while min/max runs
   //    over four independent lanes — min/max are associative, and a ±0.0
   //    representative difference is invisible through lo == hi and
   //    rng.uniform(lo, hi), so the lane split cannot change the tree;
   //  * the left-side ys compact branchlessly in node order and are then
-  //    summed sequentially: the same adds in the same order as the legacy
-  //    guarded loop, minus its unpredictable branch.
+  //    summed sequentially, in node order.
   SplitCandidate random_split(std::size_t begin, std::size_t end,
                               std::size_t feature, std::size_t min_leaf,
                               double total_sum, double total_sq,
@@ -461,11 +348,9 @@ class ColumnarBuilder {
                         : config_.max_features;
     k = std::clamp<std::size_t>(k, 1, d);
 
-    // Feature-independent node totals: every legacy per-feature pass
-    // accumulates them over the same ys in the same order, so computing
-    // them once reproduces the per-feature values bit for bit. The
-    // parent SSE keeps the legacy expression (sum·sum/n, not sum·mean —
-    // they round differently).
+    // Node totals are feature independent, so every candidate shares
+    // them. The parent SSE is sum·sum/n, not sum·mean: they round
+    // differently, and the goldens pin this one.
     const double parent_sse = sq - sum * sum / static_cast<double>(n);
 
     SplitCandidate best;
@@ -498,10 +383,9 @@ class ColumnarBuilder {
 
     importance_[best.feature] += best.gain;
 
-    // Mark each sample's side once, then partition the position array with
-    // the same std::partition the legacy kernel applies to its row array —
-    // identical predicate sequence, identical permutation, so child node
-    // statistics accumulate in the same order.
+    // Mark each sample's side once, then std::partition the node's
+    // positions by it. The resulting permutation fixes the order in which
+    // the children accumulate their statistics.
     const auto col = cols_.column(best.feature);
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint32_t p = pos_[i];
@@ -558,7 +442,7 @@ class ColumnarBuilder {
 
   std::vector<std::size_t> sample_row_;  // position -> dataset row (fixed)
   std::vector<double> ys_;               // position -> target
-  std::vector<std::uint32_t> pos_;       // partitioned like legacy `rows`
+  std::vector<std::uint32_t> pos_;       // node segments, partitioned
   std::vector<char> left_mask_;          // position -> goes left at split
   bool random_mode_ = false;
   std::vector<double> node_ys_;          // current node's ys, contiguous
@@ -580,89 +464,14 @@ void DecisionTreeRegressor::fit(const Dataset& data,
   nodes_.clear();
   importance_.assign(data.feature_count(), 0.0);
   nodes_.reserve(2 * rows.size());
-  if (config_.kernel == TreeKernel::kColumnar) {
-    ColumnarBuilder builder(data, config_, nodes_, importance_, rng);
-    builder.run(rows);
-    return;
-  }
-  std::vector<std::size_t> work(rows.begin(), rows.end());
-  build(data, work, 0, work.size(), 0, rng);
+  ColumnarBuilder builder(data, config_, nodes_, importance_, rng);
+  builder.run(rows);
 }
 
 void DecisionTreeRegressor::fit(const Dataset& data, stats::Rng& rng) {
   std::vector<std::size_t> rows(data.size());
   std::iota(rows.begin(), rows.end(), std::size_t{0});
   fit(data, rows, rng);
-}
-
-std::uint32_t DecisionTreeRegressor::build(const Dataset& data,
-                                           std::vector<std::size_t>& rows,
-                                           std::size_t begin, std::size_t end,
-                                           std::size_t depth, stats::Rng& rng) {
-  const std::size_t n = end - begin;
-  double sum = 0.0, sq = 0.0;
-  for (std::size_t i = begin; i < end; ++i) {
-    const double y = data.y(rows[i]);
-    sum += y;
-    sq += y * y;
-  }
-  const double mean = sum / static_cast<double>(n);
-  const double sse = sq - sum * mean;
-
-  const auto make_leaf = [&] {
-    Node leaf;
-    leaf.value = mean;
-    nodes_.push_back(leaf);
-    return static_cast<std::uint32_t>(nodes_.size() - 1);
-  };
-
-  if (depth >= config_.max_depth || n < config_.min_samples_split ||
-      sse <= 1e-12) {
-    return make_leaf();
-  }
-
-  const std::size_t d = data.feature_count();
-  std::size_t k = config_.max_features == 0
-                      ? static_cast<std::size_t>(std::llround(std::sqrt(
-                            static_cast<double>(d))))
-                      : config_.max_features;
-  k = std::clamp<std::size_t>(k, 1, d);
-
-  const std::span<const std::size_t> node_rows(rows.data() + begin, n);
-  SplitCandidate best;
-  const auto features = rng.sample_without_replacement(d, k);
-  for (std::size_t f : features) {
-    const auto cand =
-        config_.split_mode == SplitMode::kBest
-            ? best_split_for_feature(data, node_rows, f,
-                                     config_.min_samples_leaf)
-            : random_split_for_feature(data, node_rows, f,
-                                       config_.min_samples_leaf, rng);
-    if (cand.gain > best.gain) best = cand;
-  }
-  if (best.gain <= 0.0) return make_leaf();
-
-  importance_[best.feature] += best.gain;
-
-  // Partition rows[begin, end) around the threshold.
-  const auto mid_it = std::partition(
-      rows.begin() + static_cast<std::ptrdiff_t>(begin),
-      rows.begin() + static_cast<std::ptrdiff_t>(end), [&](std::size_t r) {
-        return data.x(r)[best.feature] <= best.threshold;
-      });
-  const auto mid = static_cast<std::size_t>(mid_it - rows.begin());
-  assert(mid > begin && mid < end);
-
-  Node node;
-  node.feature = static_cast<std::uint32_t>(best.feature);
-  node.threshold = best.threshold;
-  nodes_.push_back(node);
-  const auto self = static_cast<std::uint32_t>(nodes_.size() - 1);
-  const std::uint32_t left = build(data, rows, begin, mid, depth + 1, rng);
-  const std::uint32_t right = build(data, rows, mid, end, depth + 1, rng);
-  nodes_[self].left = left;
-  nodes_[self].right = right;
-  return self;
 }
 
 double DecisionTreeRegressor::predict(std::span<const double> x) const {

@@ -37,7 +37,7 @@ void RandomForestRegressor::fit(const Dataset& data, stats::Rng& rng) {
   // Prime the shared feature-major view on this thread before fanning
   // out: Dataset::columns() is lazy and not safe to first-build
   // concurrently.
-  if (config_.tree.kernel == TreeKernel::kColumnar) data.columns();
+  data.columns();
   std::optional<ThreadPool> local;
   ThreadPool* pool = &ThreadPool::shared();
   if (config_.threads != 0) {
@@ -169,7 +169,7 @@ void RandomForestRegressor::refresh_trees(const Dataset& data, std::size_t count
   const auto slots = rng.sample_without_replacement(trees_.size(), count);
   std::vector<std::uint64_t> seeds(count);
   for (auto& s : seeds) s = rng.next();
-  if (config_.tree.kernel == TreeKernel::kColumnar) data.columns();
+  data.columns();  // prime before fanning out, as in fit()
   ThreadPool::shared().parallel_for(
       count, [&](std::size_t i) { fit_one(data, slots[i], seeds[i]); });
   rebuild_flat();
