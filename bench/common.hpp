@@ -8,12 +8,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <system_error>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/parse_uint.hpp"
 #include "core/trainer.hpp"
 #include "ml/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -22,27 +24,36 @@
 
 namespace gsight::bench {
 
-/// Campaign thread budget from the environment (read here in bench/,
-/// where getenv is allowed): GSIGHT_THREADS=N caps the fan-out, 1 forces
+/// A count from environment variable `name` (read here in bench/, where
+/// getenv is allowed), parsed with core::parse_uint; `fallback` when
+/// unset. A value that is not a count up to `max` ends the bench with
+/// exit code 2 rather than running with a misread number.
+inline std::size_t env_count(const char* name, std::size_t fallback,
+                             std::uint64_t max) {
+  const char* s = std::getenv(name);
+  if (s == nullptr) return fallback;
+  if (const auto n = core::parse_uint(s, max)) return *n;
+  std::fprintf(stderr,
+               "error: %s wants an unsigned integer up to %llu, got '%s'\n",
+               name, static_cast<unsigned long long>(max), s);
+  std::exit(2);
+}
+
+/// Campaign thread budget: GSIGHT_THREADS=N caps the fan-out, 1 forces
 /// serial, unset/0 uses all hardware threads. Thread count never changes
 /// bench numbers (campaigns are bit-identical across thread counts), only
 /// the wall-clock.
 inline std::size_t env_threads() {
-  if (const char* s = std::getenv("GSIGHT_THREADS")) {
-    return static_cast<std::size_t>(std::strtoul(s, nullptr, 10));
-  }
-  return 0;
+  return env_count("GSIGHT_THREADS", 0, core::kMaxThreads);
 }
 
 /// Replication count for the scheduling campaigns (fig11/fig12):
 /// GSIGHT_REPS=N runs each scheduler N times on derived seeds and reports
 /// mean ± 95% CI. Default 1 keeps the default bench wall-clock flat.
 inline std::size_t env_reps() {
-  if (const char* s = std::getenv("GSIGHT_REPS")) {
-    const auto n = static_cast<std::size_t>(std::strtoul(s, nullptr, 10));
-    return n > 0 ? n : 1;
-  }
-  return 1;
+  const std::size_t n =
+      env_count("GSIGHT_REPS", 1, std::numeric_limits<std::size_t>::max());
+  return n > 0 ? n : 1;
 }
 
 /// CampaignOptions honouring GSIGHT_THREADS.

@@ -36,12 +36,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/parse_uint.hpp"
 #include "core/predictor.hpp"
 #include "core/trainer.hpp"
 #include "ml/forest_io.hpp"
@@ -101,12 +105,49 @@ int usage() {
   return 2;
 }
 
-/// Campaign fan-out from GSIGHT_THREADS (0/unset = all hardware threads).
-std::size_t env_threads() {
-  if (const char* v = std::getenv("GSIGHT_THREADS")) {
-    return static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
+/// Parse `value`, the value of flag or variable `name`, with
+/// core::parse_uint into `*out`. On a bad value, say so and return false;
+/// the caller then returns usage().
+template <typename T>
+bool count_arg(const std::string& name, std::string_view value, T* out,
+               std::uint64_t max = std::numeric_limits<T>::max()) {
+  const auto parsed = core::parse_uint(value, max);
+  if (!parsed) {
+    std::fprintf(stderr,
+                 "error: %s wants an unsigned integer up to %llu, got '%.*s'\n",
+                 name.c_str(), static_cast<unsigned long long>(max),
+                 static_cast<int>(value.size()), value.data());
+    return false;
   }
-  return 0;
+  *out = static_cast<T>(*parsed);
+  return true;
+}
+
+/// count_arg for a thread, worker, client or replica count.
+bool threads_arg(const std::string& name, std::string_view value,
+                 std::size_t* out) {
+  return count_arg(name, value, out, core::kMaxThreads);
+}
+
+/// Parse a comma-separated list of counts ("1,2,3") into `*out`.
+bool count_list_arg(const std::string& name, std::string_view value,
+                    std::vector<std::size_t>* out) {
+  out->clear();
+  for (std::size_t start = 0, comma = 0; comma != value.npos;
+       start = comma + 1) {
+    comma = value.find(',', start);
+    const auto item = value.substr(start, comma - start);
+    if (!count_arg(name, item, &out->emplace_back())) return false;
+  }
+  return true;
+}
+
+/// Campaign fan-out from GSIGHT_THREADS (0/unset = all hardware threads).
+/// False when the variable is set to anything but a thread count.
+bool env_threads(std::size_t* threads) {
+  *threads = 0;
+  const char* v = std::getenv("GSIGHT_THREADS");
+  return v == nullptr || threads_arg("GSIGHT_THREADS", v, threads);
 }
 
 prof::SoloProfilerConfig profiler_config() {
@@ -159,10 +200,10 @@ int cmd_train(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string store_path = argv[0];
   const std::string model_path = argv[1];
-  const std::size_t scenarios = argc >= 3
-                                    ? static_cast<std::size_t>(
-                                          std::atol(argv[2]))
-                                    : 120;
+  std::size_t scenarios = 120;
+  if (argc >= 3 && !count_arg("scenarios", argv[2], &scenarios)) {
+    return usage();
+  }
 
   prof::ProfileStore store;
   core::BuilderConfig cfg;
@@ -177,7 +218,7 @@ int cmd_train(int argc, char** argv) {
   request.cls = core::ColocationClass::kLsScBg;
   request.qos = core::QosKind::kIpc;
   request.count = scenarios;
-  request.campaign.threads = env_threads();
+  if (!env_threads(&request.campaign.threads)) return usage();
   const auto stream = builder.build(request);
 
   ml::IncrementalForest model(core::deployed_irfr_config(), 1);
@@ -247,7 +288,7 @@ int cmd_demo() {
   request.cls = core::ColocationClass::kLsScBg;
   request.qos = core::QosKind::kIpc;
   request.count = 30;
-  request.campaign.threads = env_threads();
+  if (!env_threads(&request.campaign.threads)) return usage();
   const auto stream = builder.build(request);
   ml::Dataset train(predictor.encoder().dimension());
   for (const auto& s : stream) {
@@ -364,7 +405,8 @@ int cmd_campaign_sharded(std::size_t lanes, std::size_t threads,
 }
 
 int cmd_campaign(int argc, char** argv) {
-  std::size_t threads = env_threads();
+  std::size_t threads = 0;
+  if (!env_threads(&threads)) return usage();
   std::uint64_t seed = 2027;
   std::size_t count = 8;
   core::QosKind qos = core::QosKind::kIpc;
@@ -380,13 +422,13 @@ int cmd_campaign(int argc, char** argv) {
     const std::string arg = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
     if (arg == "--threads" && value != nullptr) {
-      threads = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      if (!threads_arg(arg, value, &threads)) return usage();
       ++i;
     } else if (arg == "--seed" && value != nullptr) {
-      seed = std::strtoull(value, nullptr, 10);
+      if (!count_arg(arg, value, &seed)) return usage();
       ++i;
     } else if (arg == "--count" && value != nullptr) {
-      count = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      if (!count_arg(arg, value, &count)) return usage();
       ++i;
     } else if (arg == "--qos" && value != nullptr) {
       const std::string v = value;
@@ -417,20 +459,19 @@ int cmd_campaign(int argc, char** argv) {
       ++i;
     } else if (arg == "--shards" && value != nullptr) {
       sharded = true;
-      shards = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      if (!count_arg(arg, value, &shards)) return usage();
       ++i;
     } else if (arg == "--clusters" && value != nullptr) {
-      clusters = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      if (!count_arg(arg, value, &clusters)) return usage();
       ++i;
     } else if (arg == "--servers" && value != nullptr) {
-      servers = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      if (!count_arg(arg, value, &servers)) return usage();
       ++i;
     } else if (arg == "--horizon" && value != nullptr) {
       horizon = std::atof(value);
       ++i;
     } else if (arg == "--clone-factor" && value != nullptr) {
-      clone.clone_factor =
-          static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      if (!count_arg(arg, value, &clone.clone_factor)) return usage();
       ++i;
     } else if (arg == "--clone-handoffs") {
       clone.clone_handoffs = true;
@@ -505,24 +546,22 @@ int cmd_campaign(int argc, char** argv) {
 /// heavy antagonists is the paper-replication headline.
 int cmd_clone_bench(int argc, char** argv) {
   sched::CloningFrontierConfig cfg;
-  cfg.campaign.threads = env_threads();
+  if (!env_threads(&cfg.campaign.threads)) return usage();
   std::string out_dir = ".";
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
     if (arg == "--threads" && value != nullptr) {
-      cfg.campaign.threads =
-          static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      if (!threads_arg(arg, value, &cfg.campaign.threads)) return usage();
       ++i;
     } else if (arg == "--seed" && value != nullptr) {
-      cfg.seed = std::strtoull(value, nullptr, 10);
+      if (!count_arg(arg, value, &cfg.seed)) return usage();
       ++i;
     } else if (arg == "--reps" && value != nullptr) {
-      cfg.replications =
-          static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      if (!count_arg(arg, value, &cfg.replications)) return usage();
       ++i;
     } else if (arg == "--servers" && value != nullptr) {
-      cfg.servers = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      if (!count_arg(arg, value, &cfg.servers)) return usage();
       ++i;
     } else if (arg == "--qps" && value != nullptr) {
       cfg.qps = std::atof(value);
@@ -531,24 +570,10 @@ int cmd_clone_bench(int argc, char** argv) {
       cfg.duration_s = std::atof(value);
       ++i;
     } else if (arg == "--factors" && value != nullptr) {
-      cfg.clone_factors.clear();
-      for (const char* p = value; *p != '\0';) {
-        char* end = nullptr;
-        cfg.clone_factors.push_back(
-            static_cast<std::size_t>(std::strtoul(p, &end, 10)));
-        if (end == p) return usage();
-        p = *end == ',' ? end + 1 : end;
-      }
+      if (!count_list_arg(arg, value, &cfg.clone_factors)) return usage();
       ++i;
     } else if (arg == "--levels" && value != nullptr) {
-      cfg.interference_levels.clear();
-      for (const char* p = value; *p != '\0';) {
-        char* end = nullptr;
-        cfg.interference_levels.push_back(
-            static_cast<std::size_t>(std::strtoul(p, &end, 10)));
-        if (end == p) return usage();
-        p = *end == ',' ? end + 1 : end;
-      }
+      if (!count_list_arg(arg, value, &cfg.interference_levels)) return usage();
       ++i;
     } else if (arg == "--sync") {
       cfg.policy = sim::CloneConfig::Policy::kSynchronized;
@@ -603,20 +628,21 @@ int cmd_clone_bench(int argc, char** argv) {
 
 /// Parse one --drain spec "R@D" or "R@D:A" (drain replica R before
 /// request D, re-add before request A). Returns false on syntax error.
-bool parse_drain_spec(const char* spec, serve::DrainStep* step) {
-  char* end = nullptr;
-  step->replica = std::strtoul(spec, &end, 10);
-  if (end == spec || *end != '@') return false;
-  const char* p = end + 1;
-  step->drain_at = std::strtoul(p, &end, 10);
-  if (end == p) return false;
-  step->readd_at = 0;
-  if (*end == ':') {
-    p = end + 1;
-    step->readd_at = std::strtoul(p, &end, 10);
-    if (end == p) return false;
-  }
-  return *end == '\0';
+bool parse_drain_spec(std::string_view spec, serve::DrainStep* step) {
+  const auto at = spec.find('@');
+  if (at == std::string_view::npos) return false;
+  const auto colon = spec.find(':', at);
+  const auto replica = core::parse_uint(spec.substr(0, at), core::kMaxThreads);
+  const auto drain_at =
+      core::parse_uint(spec.substr(at + 1, colon - (at + 1)));
+  const auto readd_at = colon == std::string_view::npos
+                            ? std::optional<std::uint64_t>(0)
+                            : core::parse_uint(spec.substr(colon + 1));
+  if (!replica || !drain_at || !readd_at) return false;
+  step->replica = *replica;
+  step->drain_at = *drain_at;
+  step->readd_at = *readd_at;
+  return true;
 }
 
 /// The serve-bench serving model: the deployed IRFR, warmed on
@@ -775,32 +801,33 @@ int cmd_serve_bench(int argc, char** argv) {
     const std::string arg = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
     if (arg == "--threads" && value != nullptr) {
-      sc.worker_threads = std::strtoul(value, nullptr, 10);
+      if (!threads_arg(arg, value, &sc.worker_threads)) return usage();
       ++i;
     } else if (arg == "--requests" && value != nullptr) {
-      lc.requests = std::strtoul(value, nullptr, 10);
+      if (!count_arg(arg, value, &lc.requests)) return usage();
       ++i;
     } else if (arg == "--rate" && value != nullptr) {
       lc.rate_hz = std::atof(value);
       ++i;
     } else if (arg == "--dim" && value != nullptr) {
-      sc.feature_dim = std::strtoul(value, nullptr, 10);
+      if (!count_arg(arg, value, &sc.feature_dim)) return usage();
       ++i;
     } else if (arg == "--batch" && value != nullptr) {
-      sc.max_batch = std::strtoul(value, nullptr, 10);
+      if (!count_arg(arg, value, &sc.max_batch)) return usage();
       ++i;
     } else if (arg == "--linger-us" && value != nullptr) {
-      sc.batch_linger = std::chrono::microseconds(
-          std::strtoul(value, nullptr, 10));
+      std::uint32_t linger_us = 0;
+      if (!count_arg(arg, value, &linger_us)) return usage();
+      sc.batch_linger = std::chrono::microseconds(linger_us);
       ++i;
     } else if (arg == "--queue" && value != nullptr) {
-      sc.queue_capacity = std::strtoul(value, nullptr, 10);
+      if (!count_arg(arg, value, &sc.queue_capacity)) return usage();
       ++i;
     } else if (arg == "--warm" && value != nullptr) {
-      warm_rows = std::strtoul(value, nullptr, 10);
+      if (!count_arg(arg, value, &warm_rows)) return usage();
       ++i;
     } else if (arg == "--observe-every" && value != nullptr) {
-      lc.observe_every = std::strtoul(value, nullptr, 10);
+      if (!count_arg(arg, value, &lc.observe_every)) return usage();
       ++i;
     } else if (arg == "--mode" && value != nullptr) {
       const std::string v = value;
@@ -813,16 +840,16 @@ int cmd_serve_bench(int argc, char** argv) {
       }
       ++i;
     } else if (arg == "--clients" && value != nullptr) {
-      lc.clients = std::strtoul(value, nullptr, 10);
+      if (!threads_arg(arg, value, &lc.clients)) return usage();
       ++i;
     } else if (arg == "--seed" && value != nullptr) {
-      lc.seed = std::strtoull(value, nullptr, 10);
+      if (!count_arg(arg, value, &lc.seed)) return usage();
       ++i;
     } else if (arg == "--out" && value != nullptr) {
       out_dir = value;
       ++i;
     } else if (arg == "--fleet" && value != nullptr) {
-      fleet = std::strtoul(value, nullptr, 10);
+      if (!threads_arg(arg, value, &fleet)) return usage();
       ++i;
     } else if (arg == "--router" && value != nullptr) {
       const auto parsed = serve::parse_router_policy(value);
@@ -830,7 +857,7 @@ int cmd_serve_bench(int argc, char** argv) {
       router = *parsed;
       ++i;
     } else if (arg == "--vnodes" && value != nullptr) {
-      vnodes = std::strtoul(value, nullptr, 10);
+      if (!count_arg(arg, value, &vnodes)) return usage();
       ++i;
     } else if (arg == "--drain" && value != nullptr) {
       serve::DrainStep step;
@@ -845,7 +872,7 @@ int cmd_serve_bench(int argc, char** argv) {
       live_path = value;
       ++i;
     } else if (arg == "--live-every" && value != nullptr) {
-      lc.live_every = std::strtoul(value, nullptr, 10);
+      if (!count_arg(arg, value, &lc.live_every)) return usage();
       ++i;
     } else {
       return usage();
@@ -853,6 +880,11 @@ int cmd_serve_bench(int argc, char** argv) {
   }
 
   if (fleet > 0) {
+    if (fleet * sc.worker_threads > core::kMaxThreads) {
+      std::fprintf(stderr, "error: --fleet x --threads exceeds %llu\n",
+                   static_cast<unsigned long long>(core::kMaxThreads));
+      return usage();
+    }
     serve::FleetRequest fr;
     fr.replicas = fleet;
     fr.router = router;
