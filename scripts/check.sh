@@ -10,8 +10,9 @@
 #      -Werror=thread-safety; skipped with a notice when clang++ is not
 #      installed)
 #   3. ASan+UBSan build + the entire ctest suite
-#   4. TSan build + the thread-pool / forest / trainer / campaign / serve
-#      / shard tests (the multi-threaded code paths)
+#   4. TSan build + the thread-pool / forest / trainer / campaign /
+#      predictor-refresh / serve / shard tests (the multi-threaded code
+#      paths)
 #   5. bench smoke: run bench_micro with RunReport enabled and validate
 #      the emitted BENCH_micro.json with tools/bench_schema_check
 #   5b. model kernels: forest train and predict
@@ -142,13 +143,13 @@ banner "TSan build + threaded tests"
 TSAN_DIR="$ROOT/build-check/tsan"
 configure_build "$TSAN_DIR" "-DGSIGHT_SANITIZE=thread"
 # The multi-threaded surface: ThreadPool itself plus its users (forest
-# training/inference, incremental models, trainer, campaigns) and the
-# online serving stack (workers, background trainer, snapshot hot swap,
-# fleet routing/drain).
+# training/inference, incremental models, trainer, campaigns), the
+# predictor's background refresh, and the online serving stack (workers,
+# background trainer, snapshot hot swap, fleet routing/drain).
 ( cd "$TSAN_DIR" && \
   TSAN_OPTIONS=halt_on_error=1 \
   ctest --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|Forest|Incremental|Trainer|Campaign|Serve|Fleet|Shard|Clon|ProcessorSharing' )
+        -R 'ThreadPool|Forest|Incremental|Trainer|Campaign|PredictorRefresh|Serve|Fleet|Shard|Clon|ProcessorSharing' )
 
 # --- 5. Bench smoke --------------------------------------------------------
 banner "bench smoke: bench_micro -> BENCH_micro.json -> bench_schema_check"

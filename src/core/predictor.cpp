@@ -1,6 +1,12 @@
 #include "core/predictor.hpp"
 
+#include <atomic>
+#include <exception>
+#include <future>
 #include <stdexcept>
+#include <utility>
+
+#include "ml/thread_pool.hpp"
 
 namespace gsight::core {
 
@@ -76,12 +82,66 @@ GsightPredictor::GsightPredictor(PredictorConfig config,
       pending_(encoder_.dimension()),
       batch_xs_(0, encoder_.dimension()) {}
 
+/// One partial_fit of one batch, queued on ThreadPool::shared(). run()
+/// trains exactly once, on whichever thread claims it first: a pool
+/// worker, or the thread that waits for the result. So a refresh queued
+/// behind busy workers never blocks its waiter, and a queued task that
+/// runs after the waiter claimed it touches nothing but the claim flag.
+class GsightPredictor::Refresh {
+ public:
+  Refresh(ml::IncrementalRegressor* model, ml::Dataset batch)
+      : model_(model), batch_(std::move(batch)), done_(result_.get_future()) {}
+
+  void run() {
+    if (claimed_.exchange(true, std::memory_order_acq_rel)) return;
+    try {
+      model_->partial_fit(batch_);
+      result_.set_value();
+    } catch (...) {
+      result_.set_exception(std::current_exception());
+    }
+  }
+
+  /// Run it here unless a worker has claimed it, then wait for it.
+  /// get() rethrows the refresh's exception; wait() never throws.
+  void finish() {
+    run();
+    done_.get();
+  }
+  void finish_quietly() {
+    run();
+    done_.wait();
+  }
+
+ private:
+  std::atomic<bool> claimed_{false};
+  ml::IncrementalRegressor* model_;
+  ml::Dataset batch_;
+  std::promise<void> result_;
+  std::future<void> done_;
+};
+
+GsightPredictor::~GsightPredictor() {
+  // An exception nobody collected dies with the predictor.
+  if (refresh_) refresh_->finish_quietly();
+}
+
+void GsightPredictor::await_refresh() const {
+  if (!refresh_) return;
+  // Taken out first, so a rethrown exception surfaces once and the next
+  // access proceeds.
+  const std::shared_ptr<Refresh> refresh = std::move(refresh_);
+  refresh->finish();
+}
+
 double GsightPredictor::predict(const Scenario& scenario) const {
+  await_refresh();
   return model_->predict(encoder_.encode(scenario));
 }
 
 std::vector<double> GsightPredictor::predict_batch(
     std::span<const Scenario> scenarios) const {
+  await_refresh();
   // Zero-copy encode: each scenario's code is written directly into a
   // row of the reused scratch Matrix, so a steady-state batch performs
   // no per-call allocation beyond the returned vector.
@@ -101,9 +161,17 @@ void GsightPredictor::observe(const Scenario& scenario, double actual_qos) {
 }
 
 void GsightPredictor::flush() {
+  await_refresh();
   if (pending_.empty()) return;
-  model_->partial_fit(pending_);
+  // The refresh owns its batch and reaches the model through a pointer
+  // that outlives the training (the destructor waits), so observe() can
+  // refill pending_ meanwhile. On a pool worker, the refresh's own
+  // parallel_for takes that worker plus the idle ones and leaves the
+  // caller's core to the caller. refresh_ is set before the submit, so
+  // should the pool refuse the task, the next access runs it instead.
+  refresh_ = std::make_shared<Refresh>(model_.get(), std::move(pending_));
   pending_ = ml::Dataset(encoder_.dimension());
+  ml::ThreadPool::shared().submit([refresh = refresh_] { refresh->run(); });
 }
 
 void GsightPredictor::train(const ml::Dataset& dataset) {
@@ -111,6 +179,7 @@ void GsightPredictor::train(const ml::Dataset& dataset) {
     throw std::invalid_argument(
         "GsightPredictor::train: dataset dimension mismatch");
   }
+  await_refresh();
   model_->partial_fit(dataset);
 }
 

@@ -66,12 +66,29 @@ struct PredictorConfig {
   std::uint64_t seed = 1;
 };
 
+/// Model refreshes run in the background. flush() (and observe() once
+/// `update_batch` observations are buffered) hands the buffered batch to
+/// one partial_fit task on ml::ThreadPool::shared() and returns at once,
+/// so the caller's next stretch of work overlaps the refresh. Every later access to the model
+/// first waits for that refresh: predict, predict_batch, train, the next
+/// flush, model() and samples_seen(). Refreshes therefore apply one at a
+/// time and in flush order, and the model's RNG draws keep their order,
+/// so every prediction is bit-identical to a synchronous refresh. An
+/// exception thrown by a refresh is rethrown once, by the next access;
+/// the predictor stays usable after it. The destructor waits for a
+/// refresh in flight and drops its exception.
 class GsightPredictor final : public ScenarioPredictor {
  public:
   explicit GsightPredictor(PredictorConfig config = {});
   /// Take ownership of a custom model (e.g. specially configured IRFR).
   GsightPredictor(PredictorConfig config,
                   std::unique_ptr<ml::IncrementalRegressor> model);
+  ~GsightPredictor() override;
+  /// A moved predictor takes its refresh in flight along: the task holds
+  /// the heap-allocated model, not the predictor. Assignment is deleted
+  /// because it would free the old model under that model's refresh.
+  GsightPredictor(GsightPredictor&&) = default;
+  GsightPredictor& operator=(GsightPredictor&&) = delete;
 
   /// Predict the target workload's QoS under the scenario.
   double predict(const Scenario& scenario) const override;
@@ -82,7 +99,8 @@ class GsightPredictor final : public ScenarioPredictor {
   /// Record an observed (scenario, actual QoS) pair; the model updates
   /// once `update_batch` observations accumulate (or on flush()).
   void observe(const Scenario& scenario, double actual_qos) override;
-  /// Fold any buffered observations into the model immediately.
+  /// Wait for the refresh in flight, then start folding any buffered
+  /// observations into the model in the background.
   void flush() override;
   std::string name() const override {
     return std::string("Gsight-") + to_string(config_.model);
@@ -92,15 +110,31 @@ class GsightPredictor final : public ScenarioPredictor {
   void train(const ml::Dataset& dataset);
 
   const Encoder& encoder() const { return encoder_; }
-  const ml::IncrementalRegressor& model() const { return *model_; }
-  std::size_t samples_seen() const { return model_->samples_seen(); }
+  const ml::IncrementalRegressor& model() const {
+    await_refresh();
+    return *model_;
+  }
+  std::size_t samples_seen() const {
+    await_refresh();
+    return model_->samples_seen();
+  }
   const PredictorConfig& config() const { return config_; }
 
  private:
+  /// One background partial_fit (defined in predictor.cpp).
+  class Refresh;
+
+  /// Block until the refresh in flight, if any, has finished; rethrow its
+  /// exception.
+  void await_refresh() const;
+
   PredictorConfig config_;
   Encoder encoder_;
   std::unique_ptr<ml::IncrementalRegressor> model_;
   ml::Dataset pending_;
+  /// The background refresh; set from a flush() until the next access to
+  /// the model collects it. mutable because const reads wait on it.
+  mutable std::shared_ptr<Refresh> refresh_;
   /// predict_batch scratch: scenario codes are written straight into
   /// rows of this reused Matrix (zero-copy encode). mutable because
   /// batched prediction is logically const; a predictor instance is not

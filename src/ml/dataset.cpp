@@ -8,8 +8,10 @@ namespace gsight::ml {
 void ColumnStore::sync(const Matrix& features) {
   if (features_ != features.cols() || rows_synced_ > features.rows()) {
     flat_.clear();
+    nonzero_.clear();
     features_ = features.cols();
     stride_ = 0;
+    word_stride_ = 0;
     rows_synced_ = 0;
     first_.assign(features_, 0.0);
     constant_.assign(features_, 1);
@@ -19,14 +21,22 @@ void ColumnStore::sync(const Matrix& features) {
   if (end > stride_) {
     // Geometric growth keeps appends amortised O(1) per element: columns
     // are re-packed at the wider stride only when the capacity doubles.
+    // The bitmaps re-pack with them; the new words start clear.
     const std::size_t new_stride = std::max(end, 2 * stride_);
+    const std::size_t new_words = (new_stride + 63) / 64;
     std::vector<double> wider(features_ * new_stride);
+    std::vector<std::uint64_t> wider_bits(features_ * new_words);
+    const std::size_t used_words = (rows_synced_ + 63) / 64;
     for (std::size_t f = 0; f < features_; ++f) {
       std::copy_n(flat_.data() + f * stride_, rows_synced_,
                   wider.data() + f * new_stride);
+      std::copy_n(nonzero_.data() + f * word_stride_, used_words,
+                  wider_bits.data() + f * new_words);
     }
     flat_ = std::move(wider);
+    nonzero_ = std::move(wider_bits);
     stride_ = new_stride;
+    word_stride_ = new_words;
   }
   if (rows_synced_ == 0) {
     const auto row = features.row(0);
@@ -34,10 +44,15 @@ void ColumnStore::sync(const Matrix& features) {
   }
   for (std::size_t r = rows_synced_; r < end; ++r) {
     const auto row = features.row(r);
+    std::uint64_t* word = nonzero_.data() + r / 64;
+    const unsigned bit = r % 64;
     for (std::size_t f = 0; f < features_; ++f) {
       flat_[f * stride_ + r] = row[f];
       // == keeps ±0.0 equal and makes any NaN (row 0 included) clear it.
       constant_[f] &= static_cast<unsigned char>(row[f] == first_[f]);
+      // != leaves ±0.0 clear and sets a NaN's bit.
+      word[f * word_stride_] |= static_cast<std::uint64_t>(row[f] != 0.0)
+                                << bit;
     }
   }
   rows_synced_ = end;

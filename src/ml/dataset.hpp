@@ -36,6 +36,12 @@ inline constexpr std::size_t kMaxPersistedFeatures = 1000000;
 /// overlap codes leave most of their 2 580 columns constant over a
 /// training buffer; a split search can never cut such a column, at any
 /// node of any bootstrap sample, so the tree builder skips it unread.
+///
+/// One level down, each column also has a bitmap of the rows whose value
+/// is not == 0.0, kept by the same loop. A column that is live somewhere
+/// in the buffer is often all zero over one node's rows; the tree builder
+/// ANDs the node's rows against this bitmap and skips such a column at
+/// that node, again unread.
 class ColumnStore {
  public:
   std::size_t rows() const { return rows_synced_; }
@@ -47,6 +53,13 @@ class ColumnStore {
   /// (vacuously true before any row is synced). +0.0 and -0.0 count as
   /// equal; a column holding any NaN is never constant.
   bool constant(std::size_t f) const { return constant_[f] != 0; }
+  /// Column `f`'s nonzero bitmap: bit r % 64 of word r / 64 is set iff
+  /// row r's value is != 0.0 (so ±0.0 leave it clear and NaN sets it).
+  /// bitmap_words() words long; bits past rows() are clear.
+  const std::uint64_t* nonzero_bits(std::size_t f) const {
+    return nonzero_.data() + f * word_stride_;
+  }
+  std::size_t bitmap_words() const { return (rows_synced_ + 63) / 64; }
 
   /// Mirror `features` exactly: appends rows [rows(), features.rows());
   /// rebuilds from scratch, flags included, only if the source shrank or
@@ -57,8 +70,10 @@ class ColumnStore {
   std::vector<double> flat_;      // features_ columns, each stride_ long
   std::vector<double> first_;     // row 0 of every column
   std::vector<unsigned char> constant_;  // per column: all rows == first_
+  std::vector<std::uint64_t> nonzero_;   // features_ bitmaps, word_stride_
   std::size_t features_ = 0;
   std::size_t stride_ = 0;        // per-column row capacity
+  std::size_t word_stride_ = 0;   // per-column bitmap capacity, in words
   std::size_t rows_synced_ = 0;
 };
 

@@ -45,14 +45,17 @@ struct SplitCandidate {
 //    that may split, then for kRandom one uniform(lo, hi) per sampled
 //    feature that varies over the node, in sample order.
 //
-// Constant-column skip: candidates whose column the ColumnStore flags as
-// constant are dropped from each node's feature sample after the draw,
-// and the kRandom prefetch therefore targets the next column that will
-// actually be read. The skip changes no tree: such a column is constant
-// at every node, where both split searches would return {} (lo == hi,
-// front == back) without drawing from the RNG, and {} never beats
-// `best`. In the
-// zero-padded overlap code this skips most of the sampled columns.
+// Constant- and zero-column skip: after the draw, each node drops from its
+// feature sample every candidate whose column the ColumnStore flags as
+// constant over the dataset, and every candidate whose column is == 0.0
+// at all of the node's rows (its nonzero bitmap ANDed with the node's
+// row bitmap is empty). The kRandom prefetch therefore targets the next
+// column that will actually be read. The skip changes no tree: such a
+// column holds one value at this node (±0.0 compare equal), where both
+// split searches would return {} (lo == hi, front == back) without
+// drawing from the RNG, and {} never beats `best`. A NaN sets its row's
+// nonzero bit, so a column with a NaN at the node is always scanned. In
+// the zero-padded overlap code this skips most of the sampled columns.
 class ColumnarBuilder {
  public:
   using Node = DecisionTreeRegressor::Node;
@@ -87,6 +90,8 @@ class ColumnarBuilder {
       vals_.resize(n);
       sel_.resize(n);
     }
+    node_bits_.assign(cols_.bitmap_words(), 0);
+    node_words_.clear();
     presorted_ = config_.split_mode == SplitMode::kBest &&
                  data_.feature_count() <= kPresortMaxFeatures;
     if (presorted_) presort();
@@ -96,6 +101,31 @@ class ColumnarBuilder {
  private:
   double xval(std::size_t feature, std::uint32_t p) const {
     return cols_.column(feature)[sample_row_[p]];
+  }
+
+  // Set the node's dataset rows in node_bits_, listing each word the
+  // first time one of its bits is set.
+  void mark_node_rows(std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t r = sample_row_[pos_[i]];
+      std::uint64_t& word = node_bits_[r / 64];
+      if (word == 0) node_words_.push_back(static_cast<std::uint32_t>(r / 64));
+      word |= std::uint64_t{1} << (r % 64);
+    }
+  }
+
+  void clear_node_rows() {
+    for (const std::uint32_t w : node_words_) node_bits_[w] = 0;
+    node_words_.clear();
+  }
+
+  // True when column `feature` is == 0.0 at every marked row.
+  bool zero_at_node(std::size_t feature) const {
+    const std::uint64_t* bits = cols_.nonzero_bits(feature);
+    for (const std::uint32_t w : node_words_) {
+      if ((bits[w] & node_bits_[w]) != 0) return false;
+    }
+    return true;
   }
 
   // Sort each feature's index list once for the whole tree, by (x, y) —
@@ -355,11 +385,15 @@ class ColumnarBuilder {
 
     SplitCandidate best;
     rng_.sample_without_replacement(d, k, feature_sample_);
-    // A column constant over the dataset is constant at this node, where
-    // every split search returns {} without an RNG draw; drop it after
-    // the sample is drawn so the stream and the survivors' order stay put.
-    std::erase_if(feature_sample_,
-                  [&](std::size_t f) { return cols_.constant(f); });
+    // A column constant over the dataset, or zero at all of this node's
+    // rows, holds one value here, where every split search returns {}
+    // without an RNG draw; drop it after the sample is drawn so the stream
+    // and the survivors' order stay put.
+    mark_node_rows(begin, end);
+    std::erase_if(feature_sample_, [&](std::size_t f) {
+      return cols_.constant(f) || zero_at_node(f);
+    });
+    clear_node_rows();
     for (std::size_t c = 0; c < feature_sample_.size(); ++c) {
       const std::size_t f = feature_sample_[c];
       SplitCandidate cand;
@@ -450,6 +484,8 @@ class ColumnarBuilder {
   std::vector<double> vals_;             // scratch: node's column values
   std::vector<double> sel_;              // scratch: compacted left-side ys
   std::vector<std::size_t> feature_sample_;  // per-node candidate features
+  std::vector<std::uint64_t> node_bits_;  // node's dataset rows, as a bitmap
+  std::vector<std::uint32_t> node_words_; // node_bits_ words that are set
   bool presorted_ = false;
   std::vector<std::uint32_t> sorted_;    // d segments of n positions each
   std::vector<std::uint32_t> scratch_;   // spill side of stable partitions

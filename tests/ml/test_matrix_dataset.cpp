@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -217,6 +218,73 @@ TEST(ColumnStore, WidthChangeResetsEveryFlag) {
   EXPECT_FALSE(store.constant(1));
   EXPECT_TRUE(store.constant(2));
   EXPECT_EQ(store.column(1)[1], 6.5);
+}
+
+// --- ColumnStore nonzero bitmaps --------------------------------------------
+
+// Every bit of every column's bitmap against the synced values: set iff
+// the value is != 0.0, and clear past rows().
+void expect_bitmaps_match(const ColumnStore& store, const char* when) {
+  for (std::size_t f = 0; f < store.feature_count(); ++f) {
+    const std::uint64_t* bits = store.nonzero_bits(f);
+    for (std::size_t r = 0; r < store.bitmap_words() * 64; ++r) {
+      const bool set = ((bits[r / 64] >> (r % 64)) & 1u) != 0;
+      const bool want = r < store.rows() && store.column(f)[r] != 0.0;
+      ASSERT_EQ(set, want) << when << ": column " << f << " row " << r;
+    }
+  }
+}
+
+// Column 0 zero but every 5th row, column 1 ±0.0 alternating, column 2 a
+// NaN on row 70 and zero elsewhere, column 3 never zero.
+std::vector<double> bitmap_row(std::size_t r) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  return {r % 5 == 0 ? 0.5 * static_cast<double>(r + 1) : 0.0,
+          r % 2 == 0 ? 0.0 : -0.0, r == 70 ? kNan : 0.0,
+          -1.0 - static_cast<double>(r)};
+}
+
+TEST(ColumnStore, NonzeroBitmapTracksIncrementalSyncsAndRegrowth) {
+  // Syncs of 1, 7 and 30 rows: words fill part way, cross 64-row word
+  // boundaries, and the stride doubles several times (re-packing every
+  // bitmap).
+  Matrix m(0, 4);
+  ColumnStore store;
+  std::size_t r = 0;
+  for (const std::size_t step : {1u, 7u, 30u, 30u, 1u, 60u, 7u}) {
+    for (std::size_t k = 0; k < step; ++k, ++r) m.push_row(bitmap_row(r));
+    store.sync(m);
+    ASSERT_EQ(store.rows(), r);
+    expect_bitmaps_match(store, "after sync");
+  }
+  EXPECT_EQ(store.bitmap_words(), (r + 63) / 64);
+  EXPECT_FALSE(store.constant(2));  // the NaN row
+}
+
+TEST(ColumnStore, NonzeroBitmapIsRebuiltAfterAShrink) {
+  Matrix long_source(0, 4);
+  for (std::size_t r = 0; r < 130; ++r) long_source.push_row(bitmap_row(r));
+  ColumnStore store;
+  store.sync(long_source);
+  expect_bitmaps_match(store, "long source");
+
+  // A shorter source of different rows: the store rebuilds, and no bit of
+  // the old rows survives.
+  Matrix short_source(0, 4);
+  for (std::size_t r = 0; r < 9; ++r) {
+    short_source.push_row(std::vector<double>{0.0, 0.0, 0.0, 0.0});
+  }
+  short_source.push_row(std::vector<double>{0.0, 3.0, 0.0, 0.0});
+  store.sync(short_source);
+  ASSERT_EQ(store.rows(), 10u);
+  expect_bitmaps_match(store, "after shrink");
+  EXPECT_EQ(store.nonzero_bits(0)[0], 0u);
+  EXPECT_EQ(store.nonzero_bits(1)[0], std::uint64_t{1} << 9);
+
+  // Appends after the rebuild keep tracking.
+  for (std::size_t r = 0; r < 70; ++r) short_source.push_row(bitmap_row(r));
+  store.sync(short_source);
+  expect_bitmaps_match(store, "after regrowth");
 }
 
 }  // namespace

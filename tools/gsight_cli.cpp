@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/parse_double.hpp"
 #include "core/parse_uint.hpp"
 #include "core/predictor.hpp"
 #include "core/trainer.hpp"
@@ -123,6 +124,29 @@ bool count_arg(const std::string& name, std::string_view value, T* out,
   return true;
 }
 
+/// Parse `value`, the value of flag `name`, with core::parse_double into
+/// `*out`, accepting [min, max]; `what` names that range for the error.
+/// On a bad value, say so and return false; the caller then returns
+/// usage().
+bool real_arg(const std::string& name, std::string_view value, double* out,
+              double min, double max, const char* what) {
+  const auto parsed = core::parse_double(value, min, max);
+  if (!parsed) {
+    std::fprintf(stderr, "error: %s wants %s, got '%.*s'\n", name.c_str(),
+                 what, static_cast<int>(value.size()), value.data());
+    return false;
+  }
+  *out = *parsed;
+  return true;
+}
+
+/// real_arg for a rate, a duration or a horizon: finite and > 0.
+bool positive_arg(const std::string& name, std::string_view value,
+                  double* out) {
+  return real_arg(name, value, out, core::kLeastPositive,
+                  std::numeric_limits<double>::max(), "a positive number");
+}
+
 /// count_arg for a thread, worker, client or replica count.
 bool threads_arg(const std::string& name, std::string_view value,
                  std::size_t* out) {
@@ -171,7 +195,12 @@ int cmd_list() {
 int cmd_profile(int argc, char** argv) {
   if (argc < 1) return usage();
   const std::string name = argv[0];
-  const double qps = argc >= 2 ? std::atof(argv[1]) : 0.0;
+  double qps = 0.0;
+  if (argc >= 2 && !real_arg("qps", argv[1], &qps, 0.0,
+                             std::numeric_limits<double>::max(),
+                             "a non-negative number")) {
+    return usage();
+  }
   const auto app = wl::by_name(name);
   prof::ProfileStore store;
   const auto key = core::ensure_profile(store, app, qps, profiler_config());
@@ -468,7 +497,7 @@ int cmd_campaign(int argc, char** argv) {
       if (!count_arg(arg, value, &servers)) return usage();
       ++i;
     } else if (arg == "--horizon" && value != nullptr) {
-      horizon = std::atof(value);
+      if (!positive_arg(arg, value, &horizon)) return usage();
       ++i;
     } else if (arg == "--clone-factor" && value != nullptr) {
       if (!count_arg(arg, value, &clone.clone_factor)) return usage();
@@ -476,7 +505,10 @@ int cmd_campaign(int argc, char** argv) {
     } else if (arg == "--clone-handoffs") {
       clone.clone_handoffs = true;
     } else if (arg == "--remote" && value != nullptr) {
-      clone.remote_fraction = std::atof(value);
+      if (!real_arg(arg, value, &clone.remote_fraction, 0.0, 1.0,
+                    "a fraction in [0, 1]")) {
+        return usage();
+      }
       ++i;
     } else if (arg == "--ps") {
       clone.processor_sharing = true;
@@ -564,10 +596,10 @@ int cmd_clone_bench(int argc, char** argv) {
       if (!count_arg(arg, value, &cfg.servers)) return usage();
       ++i;
     } else if (arg == "--qps" && value != nullptr) {
-      cfg.qps = std::atof(value);
+      if (!positive_arg(arg, value, &cfg.qps)) return usage();
       ++i;
     } else if (arg == "--duration" && value != nullptr) {
-      cfg.duration_s = std::atof(value);
+      if (!positive_arg(arg, value, &cfg.duration_s)) return usage();
       ++i;
     } else if (arg == "--factors" && value != nullptr) {
       if (!count_list_arg(arg, value, &cfg.clone_factors)) return usage();
@@ -807,7 +839,7 @@ int cmd_serve_bench(int argc, char** argv) {
       if (!count_arg(arg, value, &lc.requests)) return usage();
       ++i;
     } else if (arg == "--rate" && value != nullptr) {
-      lc.rate_hz = std::atof(value);
+      if (!positive_arg(arg, value, &lc.rate_hz)) return usage();
       ++i;
     } else if (arg == "--dim" && value != nullptr) {
       if (!count_arg(arg, value, &sc.feature_dim)) return usage();
